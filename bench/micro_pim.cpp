@@ -122,7 +122,7 @@ void BM_DataPlaneForward(benchmark::State& state) {
     packet.src = src.address();
     packet.dst = kGroup.address();
     packet.proto = net::IpProto::kUdp;
-    packet.payload.assign(64, 0xAB);
+    packet.payload = std::vector<std::uint8_t>(64, 0xAB);
     for (auto _ : state) {
         plane.on_multicast_data(0, packet);
         // Drain the delivery events so the queue does not grow unboundedly.

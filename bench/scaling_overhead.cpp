@@ -41,7 +41,7 @@ namespace {
 
 bool g_tracing = false;       // --telemetry on
 bool g_observe = false;       // --monitor-check: attach monitor + watchdogs
-bool g_profile = false;       // --profile-check: arm the CPU profiler
+bool g_profile = false;       // --profile / --profile-check: arm the CPU profiler
 std::string g_metrics_format; // --metrics prom|json
 std::string g_last_metrics;   // registry dump of the most recent run
 
@@ -401,7 +401,10 @@ int main(int argc, char** argv) {
     std::printf("# sparse groups have 2 member LANs, dense groups 7 (of 8).\n");
     std::printf("%-8s %-7s %-8s %-9s %-10s %-9s %-9s %-6s\n", "proto", "groups",
                 "members", "data_tx", "delivered", "tx/deliv", "control", "state");
+    // sweep() arms the profiler from g_profile, so --profile goes through it.
+    g_profile = bench::profile_begin(argc, argv);
     sweep(packets);
+    bench::profile_end(argc, argv, "scaling_overhead");
     std::printf(
         "# Expected shape (§1.2): for sparse groups, PIM-SM and CBT keep state\n"
         "# and data transmissions proportional to the tree, while DVMRP's\n"

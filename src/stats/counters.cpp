@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 namespace pimlib::stats {
 
@@ -40,32 +41,14 @@ NetworkStats::NetworkStats(telemetry::Registry& registry)
       dropped_loss_(&registry.counter("pimlib_data_dropped_total",
                                       {{"reason", "loss"}})) {}
 
-telemetry::Counter& NetworkStats::segment_data(int segment_id) {
-    auto it = data_by_segment_.find(segment_id);
-    if (it == data_by_segment_.end()) {
-        it = data_by_segment_
-                 .emplace(segment_id,
-                          &registry_->counter(
-                              "pimlib_data_segment_packets_total",
-                              {{"segment", std::to_string(segment_id)}},
-                              "Data packets carried, per segment"))
-                 .first;
-    }
-    return *it->second;
-}
-
-telemetry::Counter& NetworkStats::segment_control(int segment_id) {
-    auto it = control_by_segment_.find(segment_id);
-    if (it == control_by_segment_.end()) {
-        it = control_by_segment_
-                 .emplace(segment_id,
-                          &registry_->counter(
-                              "pimlib_control_segment_messages_total",
-                              {{"segment", std::to_string(segment_id)}},
-                              "Control messages carried, per segment"))
-                 .first;
-    }
-    return *it->second;
+telemetry::Counter& NetworkStats::register_segment(
+    std::vector<telemetry::Counter*>& handles, int segment_id, const char* name,
+    const char* help) {
+    if (segment_id < 0) throw std::invalid_argument("negative segment id");
+    const auto i = static_cast<std::size_t>(segment_id);
+    if (i >= handles.size()) handles.resize(i + 1, nullptr);
+    handles[i] = &registry_->counter(name, {{"segment", std::to_string(segment_id)}}, help);
+    return *handles[i];
 }
 
 void NetworkStats::count_control_message(const std::string& protocol) {
@@ -81,43 +64,24 @@ void NetworkStats::count_control_message(const std::string& protocol) {
     it->second->inc();
 }
 
-void NetworkStats::note_flow(int segment_id, net::Ipv4Address source,
-                             net::GroupAddress group) {
-    auto& flows = flows_by_segment_[segment_id];
-    flows.insert({source.to_uint(), group.address().to_uint()});
-    registry_
-        ->gauge("pimlib_data_segment_flows",
-                {{"segment", std::to_string(segment_id)}},
-                "Distinct (source, group) flows seen on a segment this phase")
-        .set(static_cast<double>(flows.size()));
-}
-
 std::uint64_t NetworkStats::data_packets_on(int segment_id) const {
-    auto it = data_by_segment_.find(segment_id);
-    return it == data_by_segment_.end() ? 0 : it->second->value();
+    const auto i = static_cast<std::size_t>(segment_id);
+    if (i >= data_by_segment_.size() || data_by_segment_[i] == nullptr) return 0;
+    return data_by_segment_[i]->value();
 }
 
 std::uint64_t NetworkStats::total_data_packets() const {
     std::uint64_t total = 0;
-    for (const auto& [seg, counter] : data_by_segment_) total += counter->value();
+    for (const telemetry::Counter* counter : data_by_segment_) {
+        if (counter != nullptr) total += counter->value();
+    }
     return total;
-}
-
-std::size_t NetworkStats::flows_on(int segment_id) const {
-    auto it = flows_by_segment_.find(segment_id);
-    return it == flows_by_segment_.end() ? 0 : it->second.size();
-}
-
-std::size_t NetworkStats::max_flows_on_any_segment() const {
-    std::size_t best = 0;
-    for (const auto& [seg, flows] : flows_by_segment_) best = std::max(best, flows.size());
-    return best;
 }
 
 std::size_t NetworkStats::segments_carrying_data() const {
     std::size_t n = 0;
-    for (const auto& [seg, counter] : data_by_segment_) {
-        if (counter->value() > 0) ++n;
+    for (const telemetry::Counter* counter : data_by_segment_) {
+        if (counter != nullptr && counter->value() > 0) ++n;
     }
     return n;
 }
@@ -141,13 +105,11 @@ void NetworkStats::reset_data_counters() {
     dropped_ttl_->begin_epoch();
     dropped_no_route_->begin_epoch();
     dropped_loss_->begin_epoch();
-    for (auto& [seg, counter] : data_by_segment_) counter->begin_epoch();
-    for (auto& [seg, counter] : control_by_segment_) counter->begin_epoch();
-    for (auto& [seg, flows] : flows_by_segment_) {
-        flows.clear();
-        registry_
-            ->gauge("pimlib_data_segment_flows", {{"segment", std::to_string(seg)}})
-            .set(0);
+    for (telemetry::Counter* counter : data_by_segment_) {
+        if (counter != nullptr) counter->begin_epoch();
+    }
+    for (telemetry::Counter* counter : control_by_segment_) {
+        if (counter != nullptr) counter->begin_epoch();
     }
     // Per-protocol control totals intentionally survive (class comment).
 }

@@ -30,10 +30,11 @@ std::optional<sim::Time> Hub::span_end(const std::string& kind,
     return spans_.end(kind, key, clock_->now());
 }
 
-void Hub::on_data_delivered(const std::string& host, const std::string& group) {
+void Hub::on_data_delivered(const std::string& host, net::GroupAddress group) {
     if (!tracing_ || spans_.open_count() == 0) return;
-    spans_.end(span::kJoinToData, host + "|" + group, clock_->now());
-    spans_.end(span::kRpFailover, group, clock_->now());
+    const std::string g = group.to_string();
+    spans_.end(span::kJoinToData, host + "|" + g, clock_->now());
+    spans_.end(span::kRpFailover, g, clock_->now());
 }
 
 void Hub::refresh_timer_gauges() {

@@ -17,6 +17,7 @@
 #include <utility>
 #include <vector>
 
+#include "net/ipv4.hpp"
 #include "sim/simulator.hpp"
 #include "telemetry/events.hpp"
 #include "telemetry/metrics.hpp"
@@ -62,8 +63,9 @@ public:
     /// Called from the data plane on every delivered packet; closes any
     /// join-to-data / rp-failover / spt-switch span waiting on this
     /// (host, group) or group. Early-exits when no span is open, so the
-    /// per-packet cost in steady state is two integer compares.
-    void on_data_delivered(const std::string& host, const std::string& group);
+    /// per-packet cost in steady state is two integer compares; the group
+    /// is formatted only past that exit.
+    void on_data_delivered(const std::string& host, net::GroupAddress group);
 
     /// Stores a snapshot (filled in by the caller; see
     /// StackBase::capture_mrib) and updates per-router entry-count gauges.

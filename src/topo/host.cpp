@@ -37,7 +37,7 @@ void Host::receive(int ifindex, const net::Packet& packet) {
             received_.push_back(ReceivedRecord{packet.src, group, packet.seq,
                                                network_->simulator().now()});
             network_->stats().count_data_delivered();
-            network_->telemetry().on_data_delivered(name(), group.to_string());
+            network_->telemetry().on_data_delivered(name(), group);
             record_endpoint(*network_, *this, packet, provenance::EntryKind::kDeliver);
             if (data_observer_) data_observer_(received_.back());
         }
@@ -52,7 +52,7 @@ void Host::send_data(net::GroupAddress group, std::size_t payload_size) {
     packet.dst = group.address();
     packet.proto = net::IpProto::kUdp;
     packet.ttl = 64;
-    packet.payload.assign(payload_size, 0xAB);
+    packet.payload = std::vector<std::uint8_t>(payload_size, 0xAB);
     packet.seq = ++next_seq_[group.address().to_uint()];
     packet.pid = provenance::packet_id(packet.src, packet.dst, packet.seq);
     record_endpoint(*network_, *this, packet, provenance::EntryKind::kOrigin);

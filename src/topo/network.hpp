@@ -62,6 +62,8 @@ public:
     [[nodiscard]] Segment* find_link(const Router& a, const Router& b);
 
     [[nodiscard]] sim::Simulator& simulator() { return sim_; }
+    /// Frames in flight on every segment (see Segment::transmit).
+    [[nodiscard]] DeliveryPool& deliveries() { return deliveries_; }
     [[nodiscard]] stats::NetworkStats& stats() { return stats_; }
     [[nodiscard]] const stats::NetworkStats& stats() const { return stats_; }
     /// The unified observability pipeline: metrics registry, event log,
@@ -152,6 +154,7 @@ private:
     telemetry::Hub telemetry_{sim_};
     stats::NetworkStats stats_{telemetry_.registry()};
     provenance::Recorder* provenance_ = nullptr;
+    DeliveryPool deliveries_;
     std::map<int, PacketTap> taps_;
     int next_tap_token_ = 1;
     std::map<int, TopologyObserver> topo_observers_;

@@ -65,10 +65,6 @@ void Segment::transmit(const Node& sender, const net::Frame& frame) {
     // counts once no matter how many stations hear it, like a real wire).
     if (frame.packet.proto == net::IpProto::kUdp) {
         network_->stats().count_data_packet(id_);
-        if (frame.packet.is_multicast()) {
-            network_->stats().note_flow(id_, frame.packet.src,
-                                        net::GroupAddress{frame.packet.dst});
-        }
     } else {
         network_->stats().count_control_on_segment(id_);
     }
@@ -101,25 +97,47 @@ void Segment::transmit(const Node& sender, const net::Frame& frame) {
         }
     }
 
-    for (const Attachment& att : attachments_) {
+    DeliveryPool* pool = &network_->deliveries();
+    for (std::uint32_t i = 0; i < attachments_.size(); ++i) {
+        const Attachment& att = attachments_[i];
         if (att.node == &sender) continue;
         if (frame.link_dst.has_value() &&
             att.node->interface(att.ifindex).address != *frame.link_dst) {
             continue;
         }
-        deliver(att, frame.packet);
+        const std::uint32_t slot = pool->park(*this, i, frame.packet);
+        network_->simulator().schedule(delay_, [pool, slot] { pool->fire(slot); });
     }
 }
 
-void Segment::deliver(const Attachment& to, const net::Packet& packet) {
-    Node* node = to.node;
-    const int ifindex = to.ifindex;
-    net::Packet copy = packet;
-    network_->simulator().schedule(delay_, [this, node, ifindex, copy = std::move(copy)] {
-        if (!up_) return;
-        if (!node->interface(ifindex).up) return;
-        node->receive(ifindex, copy);
-    });
+void Segment::arrive(std::uint32_t attachment, const net::Packet& packet) {
+    if (!up_) return;
+    const Attachment& to = attachments_[attachment];
+    if (!to.node->interface(to.ifindex).up) return;
+    to.node->receive(to.ifindex, packet);
+}
+
+std::uint32_t DeliveryPool::park(Segment& segment, std::uint32_t attachment,
+                                 const net::Packet& packet) {
+    if (free_.empty()) {
+        slots_.push_back(InFlight{&segment, attachment, packet});
+        return static_cast<std::uint32_t>(slots_.size() - 1);
+    }
+    const std::uint32_t slot = free_.back();
+    free_.pop_back();
+    slots_[slot] = InFlight{&segment, attachment, packet};
+    return slot;
+}
+
+void DeliveryPool::fire(std::uint32_t slot) {
+    // Move the packet out and free the slot before arrive(): the receiver
+    // may transmit again, and parking a new delivery can grow slots_.
+    InFlight& parked = slots_[slot];
+    Segment* segment = parked.segment;
+    const std::uint32_t attachment = parked.attachment;
+    const net::Packet packet = std::move(parked.packet);
+    free_.push_back(slot);
+    segment->arrive(attachment, packet);
 }
 
 } // namespace pimlib::topo

@@ -17,6 +17,32 @@ namespace pimlib::topo {
 
 class Network;
 class Node;
+class Segment;
+
+/// Deliveries waiting out their segment's propagation delay, pooled for a
+/// whole network (Network owns one). Parking a delivery here lets its
+/// scheduled closure carry only (pool, slot), which fits std::function's
+/// small buffer, so scheduling a delivery allocates nothing. One pool per
+/// network, not per segment: its size follows the network's peak of
+/// concurrent deliveries rather than the sum of every segment's peak.
+class DeliveryPool {
+public:
+    /// Parks `packet` for attachment `attachment` of `segment`; returns the
+    /// slot to fire.
+    std::uint32_t park(Segment& segment, std::uint32_t attachment,
+                       const net::Packet& packet);
+    /// Frees `slot`, then hands its packet to the segment's attachment.
+    void fire(std::uint32_t slot);
+
+private:
+    struct InFlight {
+        Segment* segment = nullptr;
+        std::uint32_t attachment = 0;
+        net::Packet packet;
+    };
+    std::vector<InFlight> slots_;
+    std::vector<std::uint32_t> free_;
+};
 
 class Segment {
 public:
@@ -63,9 +89,11 @@ public:
     [[nodiscard]] std::vector<Node*> peers_of(const Node& node) const;
 
 private:
-    friend class Node; // Node::attach registers the attachment
+    friend class Node;         // Node::attach registers the attachment
+    friend class DeliveryPool; // fires arrive()
     void add_attachment(Node& node, int ifindex);
-    void deliver(const Attachment& to, const net::Packet& packet);
+    /// A parked delivery's propagation delay has elapsed.
+    void arrive(std::uint32_t attachment, const net::Packet& packet);
 
     Network* network_;
     int id_;
