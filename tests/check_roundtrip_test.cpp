@@ -1,11 +1,8 @@
 // Counterexample round-trip tests: every artifact pimcheck emits must be
 // actionable. The replay spec embedded in an emitted script's header is
 // parsed back out and re-run in-process (same violation must fire), and
-// the script itself is fed through the real pimsim parser (compiled in via
-// PIMSIM_NO_MAIN) to prove the emitted text is a loadable scenario.
-#define PIMSIM_NO_MAIN
-#include "pimsim.cpp" // examples/ is on this test's include path
-
+// the script itself is fed through the scenario-script interpreter that
+// pimsim runs, to prove the emitted text is a loadable scenario.
 #include <gtest/gtest.h>
 
 #include <optional>
@@ -14,6 +11,7 @@
 
 #include "check/backward.hpp"
 #include "check/explorer.hpp"
+#include "scenario/script.hpp"
 
 namespace {
 
@@ -126,16 +124,55 @@ TEST(CounterexampleRoundTrip, EmittedScriptIsLoadablePimsimScenario) {
     options.max_replays = 50;
     const auto report = pimlib::check::backward_search(options);
     ASSERT_TRUE(report.found());
-    // run_scenario here is pimsim's script interpreter (PIMSIM_NO_MAIN
-    // include above), not check::run_scenario: parse + full run, throwing
-    // on any script error.
-    EXPECT_NO_THROW(run_scenario(report.counterexamples.front().script));
+    // Parse + full run, throwing on any script error.
+    EXPECT_NO_THROW(
+        pimlib::scenario::run_script(report.counterexamples.front().script));
+}
+
+/// The std::runtime_error message `script` fails with ("" if it runs).
+std::string script_error(const std::string& script) {
+    try {
+        (void)pimlib::scenario::run_script(script);
+    } catch (const std::runtime_error& e) {
+        return e.what();
+    }
+    return "";
 }
 
 TEST(CounterexampleRoundTrip, PimsimParserRejectsGarbage) {
-    EXPECT_THROW(run_scenario("run 1x\n"), std::runtime_error); // bad unit
-    EXPECT_THROW(run_scenario("protocol warp-drive\nrun 1ms\n"),
-                 std::runtime_error);
+    const std::string topology =
+        "topology\nrouter A\nlan lan0 A\nhost h lan0\nend\n"; // lines 1-5
+    EXPECT_EQ(script_error("run 1x\n"), "line 1: bad time unit in '1x' (use s/ms/us)");
+    EXPECT_EQ(script_error("protocol warp-drive\nrun 1ms\n"),
+              "line 1: unknown protocol 'warp-drive'");
+    // A negative time is rejected, not clamped to t=0 (or asserted on).
+    EXPECT_EQ(script_error(topology + "at -100ms join h 224.1.1.1\nrun 1s\n"),
+              "line 6: negative time '-100ms'");
+    // Every number reports its line, not a bare "stoi".
+    EXPECT_EQ(script_error(topology + "at 1ms send h 224.1.1.1 count=abc\nrun 1s\n"),
+              "line 6: bad count 'abc'");
+    EXPECT_EQ(script_error(topology + "spt-policy threshold x 10\nrun 1s\n"),
+              "line 6: bad threshold packets 'x'");
+    EXPECT_EQ(script_error(topology + "candidate-bsr A 300\nrun 1s\n"),
+              "line 6: bad candidate-bsr priority '300'");
+    EXPECT_EQ(script_error(topology + "at 1ms loss-lan lan0 nan\nrun 1s\n"),
+              "line 6: bad loss rate 'nan'");
+    EXPECT_EQ(script_error(topology + "run 2000000s\n"),
+              "line 6: bad time '2000000s' (at most 1000000s)");
+    EXPECT_EQ(script_error(topology + "run 0s\n"),
+              "line 6: run needs a positive duration");
+    EXPECT_EQ(script_error(topology), "line 5: missing 'run' directive");
+    // Name lookups and topology-block errors carry script line numbers too.
+    EXPECT_EQ(script_error(topology + "at 1ms join nobody 224.1.1.1\nrun 1s\n"),
+              "line 6: unknown host 'nobody'");
+    EXPECT_EQ(script_error("# comment\ntopology\nrouter A\nlink A Z\nend\nrun 1s\n"),
+              "line 4: unknown router 'Z'");
+    EXPECT_EQ(script_error(topology + "at 1ms dump-state now\nrun 1s\n"),
+              "line 6: unexpected 'now'");
+    EXPECT_EQ(script_error(topology + "at 1ms expect no-entry A * 224.1.1.1 spt\nrun 1s\n"),
+              "line 6: unexpected 'spt'");
+    EXPECT_EQ(script_error(topology + "at 1ms expect no-violation\nrun 1s\n"),
+              "line 6: 'expect no-violation' needs 'watchdog on'");
 }
 
 } // namespace
