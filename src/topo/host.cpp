@@ -92,4 +92,13 @@ std::size_t Host::duplicate_count() const {
     return dups;
 }
 
+std::size_t Host::duplicate_count(net::GroupAddress group) const {
+    std::set<std::pair<std::uint32_t, std::uint64_t>> seen;
+    std::size_t dups = 0;
+    for (const auto& rec : received_) {
+        if (rec.group == group && !seen.emplace(rec.source.to_uint(), rec.seq).second) ++dups;
+    }
+    return dups;
+}
+
 } // namespace pimlib::topo

@@ -46,6 +46,8 @@ public:
                                                   net::GroupAddress group) const;
     /// Number of (source, seq) duplicates among received data packets.
     [[nodiscard]] std::size_t duplicate_count() const;
+    /// Number of (source, seq) duplicates among `group`'s data packets.
+    [[nodiscard]] std::size_t duplicate_count(net::GroupAddress group) const;
     void clear_received() { received_.clear(); }
 
     /// Handler for non-data packets (the IGMP host agent registers here).
