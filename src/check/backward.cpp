@@ -47,49 +47,6 @@ const std::map<std::string, TargetSpec>& target_specs() {
     return specs;
 }
 
-/// "crash-router-R1" -> {R1}; "cut-link-A-C" -> {A, C}. The fault
-/// candidates name exactly the routers whose death the scenario author
-/// considered protocol-critical — backward search borrows that judgment.
-std::vector<std::string> critical_routers(const ScenarioInfo& info) {
-    std::vector<std::string> routers;
-    for (const std::string& label : info.fault_candidates) {
-        static const std::string kCrash = "crash-router-";
-        static const std::string kCut = "cut-link-";
-        if (label.rfind(kCrash, 0) == 0) {
-            routers.push_back(label.substr(kCrash.size()));
-        } else if (label.rfind(kCut, 0) == 0) {
-            const std::string rest = label.substr(kCut.size());
-            const std::size_t dash = rest.find('-');
-            if (dash != std::string::npos) {
-                routers.push_back(rest.substr(0, dash));
-                routers.push_back(rest.substr(dash + 1));
-            }
-        }
-    }
-    return routers;
-}
-
-/// Router names a segment name touches: "M-R1" -> {M, R1}; "lan0(M)" ->
-/// {M}; "dlan" -> {}.
-std::vector<std::string> segment_endpoints(const std::string& name) {
-    const std::size_t paren = name.find('(');
-    if (paren != std::string::npos) {
-        const std::size_t close = name.find(')', paren);
-        if (close != std::string::npos) {
-            return {name.substr(paren + 1, close - paren - 1)};
-        }
-        return {};
-    }
-    if (name.find("lan") != std::string::npos) return {};
-    const std::size_t dash = name.find('-');
-    if (dash == std::string::npos) return {name};
-    return {name.substr(0, dash), name.substr(dash + 1)};
-}
-
-bool is_lan(const std::string& name) {
-    return name.find("lan") != std::string::npos;
-}
-
 bool contains(const std::vector<std::string>& haystack, const std::string& s) {
     return std::find(haystack.begin(), haystack.end(), s) != haystack.end();
 }
@@ -109,8 +66,6 @@ struct Candidate {
 std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
                                        const TargetSpec& spec,
                                        const std::vector<ChoiceRec>& trace) {
-    const std::vector<std::string> critical = critical_routers(info);
-
     // When data first crossed each segment: the LAN election anchor.
     std::map<int, sim::Time> first_data;
     for (const ChoiceRec& rec : trace) {
@@ -145,15 +100,13 @@ std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
             continue;
         }
 
-        const auto seg = static_cast<std::size_t>(rec.point.detail);
-        const std::string name =
-            seg < info.segments.size() ? info.segments[seg] : "";
-        const std::vector<std::string> ends = segment_endpoints(name);
+        const ScenarioInfo::Segment& seg =
+            info.segments.at(static_cast<std::size_t>(rec.point.detail));
         const bool touches_critical = std::any_of(
-            ends.begin(), ends.end(),
-            [&](const std::string& r) { return contains(critical, r); });
+            seg.routers.begin(), seg.routers.end(),
+            [&](const std::string& r) { return contains(info.critical_routers, r); });
         const bool touches_member = std::any_of(
-            ends.begin(), ends.end(),
+            seg.routers.begin(), seg.routers.end(),
             [&](const std::string& r) { return contains(info.member_routers, r); });
 
         Candidate cand{Pick{i, 1}, 4, rec.at};
@@ -169,9 +122,9 @@ std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
             const auto anchor = first_data.find(rec.point.detail);
             const bool after_data =
                 anchor != first_data.end() && rec.at >= anchor->second;
-            if (is_lan(name) && rec.point.control && after_data) {
+            if (seg.lan && rec.point.control && after_data) {
                 cand.tier = 0;
-            } else if (is_lan(name) && rec.point.control) {
+            } else if (seg.lan && rec.point.control) {
                 cand.tier = 2;
             } else if (rec.point.control) {
                 cand.tier = 3;
@@ -201,9 +154,6 @@ std::vector<Candidate> rank_candidates(const ScenarioInfo& info,
     return out;
 }
 
-/// Greedy target-preserving minimization, the backward twin of
-/// shrink_counterexample: drops picks while the run still violates an
-/// oracle in the target's family.
 void publish_metrics(const BackwardOptions& options,
                      const BackwardReport& report) {
     if (options.metrics == nullptr) return;
@@ -233,10 +183,11 @@ void publish_metrics(const BackwardOptions& options,
         .inc(report.counterexamples.size());
 }
 
+/// shrink() while the run still violates an oracle in the target's family.
 ChoiceSet shrink_to_target(const std::string& scenario,
                            const BackwardOptions& options, ChoiceSet failing,
                            std::size_t* replays) {
-    const auto violates = [&](const ChoiceSet& candidate) {
+    return shrink(std::move(failing), [&](const ChoiceSet& candidate) {
         RunConfig cfg;
         cfg.choices = candidate;
         cfg.mutation = options.mutation;
@@ -245,21 +196,7 @@ ChoiceSet shrink_to_target(const std::string& scenario,
         PROF_ZONE("check.explore");
         return target_matches(options.target,
                               run_scenario(scenario, cfg).violations);
-    };
-    bool shrunk = true;
-    while (shrunk && !failing.empty()) {
-        shrunk = false;
-        for (std::size_t i = 0; i < failing.size(); ++i) {
-            ChoiceSet candidate = failing;
-            candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-            if (violates(candidate)) {
-                failing = std::move(candidate);
-                shrunk = true;
-                break;
-            }
-        }
-    }
-    return failing;
+    });
 }
 
 } // namespace

@@ -109,15 +109,14 @@ struct Slot {
 
 } // namespace
 
-ChoiceSet shrink_counterexample(const ExploreOptions& options, ChoiceSet failing) {
+ChoiceSet shrink(ChoiceSet failing, const std::function<bool(const ChoiceSet&)>& violates) {
     bool shrunk = true;
     while (shrunk && !failing.empty()) {
         shrunk = false;
         for (std::size_t i = 0; i < failing.size(); ++i) {
             ChoiceSet candidate = failing;
             candidate.erase(candidate.begin() + static_cast<std::ptrdiff_t>(i));
-            const RunResult result = run_branch(options, candidate, false);
-            if (!result.violations.empty()) {
+            if (violates(candidate)) {
                 failing = std::move(candidate);
                 shrunk = true;
                 break;
@@ -125,6 +124,12 @@ ChoiceSet shrink_counterexample(const ExploreOptions& options, ChoiceSet failing
         }
     }
     return failing;
+}
+
+ChoiceSet shrink_counterexample(const ExploreOptions& options, ChoiceSet failing) {
+    return shrink(std::move(failing), [&options](const ChoiceSet& candidate) {
+        return !run_branch(options, candidate, false).violations.empty();
+    });
 }
 
 ExploreReport explore(const ExploreOptions& options) {

@@ -25,6 +25,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -89,8 +90,12 @@ struct ExploreReport {
 
 [[nodiscard]] ExploreReport explore(const ExploreOptions& options);
 
-/// Greedy minimization: drops forced picks one at a time while the run
-/// keeps violating. Exposed for tests.
+/// Greedy minimization: drops forced picks one at a time, keeping each drop
+/// after which `violates` still holds.
+[[nodiscard]] ChoiceSet shrink(ChoiceSet failing,
+                               const std::function<bool(const ChoiceSet&)>& violates);
+
+/// shrink() while the run keeps violating any oracle. Exposed for tests.
 [[nodiscard]] ChoiceSet shrink_counterexample(const ExploreOptions& options,
                                               ChoiceSet failing);
 

@@ -2,16 +2,19 @@
 
 #include <algorithm>
 #include <cassert>
-#include <functional>
+#include <cstdlib>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <set>
+#include <stdexcept>
 #include <utility>
 
 #include "check/invariants.hpp"
 #include "check/watchdog.hpp"
 #include "fault/fault_injector.hpp"
 #include "provenance/provenance.hpp"
+#include "scenario/script.hpp"
 #include "stats/counters.hpp"
 #include "topo/host.hpp"
 #include "topo/network.hpp"
@@ -19,9 +22,13 @@
 #include "topo/segment.hpp"
 #include "trace/timeline.hpp"
 #include "trace/tracer.hpp"
-#include "unicast/oracle_routing.hpp"
 
 namespace pimlib::check {
+
+/// Name and text of every world script, in scenario_names() order
+/// (check/worlds.cpp, generated from examples/scenarios at build time).
+extern const std::vector<std::pair<std::string, std::string>> kWorldScripts;
+
 namespace {
 
 constexpr sim::Time kMs = sim::kMillisecond;
@@ -29,12 +36,12 @@ constexpr sim::Time kMs = sim::kMillisecond;
 // Convergence probes after stimuli stop: one join/prune interval each.
 constexpr int kConvergenceProbes = 12;
 
-net::GroupAddress checker_group() {
-    return net::GroupAddress{*net::Ipv4Address::parse("224.9.9.9")};
-}
-
 void add_violation(RunResult& out, std::string oracle, std::string detail) {
     out.violations.push_back(Violation{std::move(oracle), std::move(detail)});
+}
+
+void append(RunResult& out, std::vector<Violation> found) {
+    for (Violation& v : found) out.violations.push_back(std::move(v));
 }
 
 /// Dedup key for an explored state. This is a timed protocol, so the
@@ -51,24 +58,6 @@ std::uint64_t timed_state_key(sim::Time t, std::uint64_t structural) {
     x *= 0x94D049BB133111EBull;
     x ^= x >> 31;
     return x;
-}
-
-// ---------------------------------------------------------------------------
-// Shared oracle implementations
-// ---------------------------------------------------------------------------
-
-void append(RunResult& out, std::vector<Violation> found) {
-    for (Violation& v : found) out.violations.push_back(std::move(v));
-}
-
-void check_loops(RunResult& out, const CrossingMap& crossings,
-                 const std::vector<std::string>& segment_names,
-                 std::uint64_t ttl_drops) {
-    append(out, loop_violations(crossings, segment_names, ttl_drops));
-}
-
-void check_duplicate_bound(RunResult& out, const topo::Host& host) {
-    append(out, duplicate_bound_violations(host.name(), host.duplicate_count()));
 }
 
 /// Snapshot → protocol-neutral view for the shared per-entry oracle.
@@ -90,13 +79,10 @@ EntryView entry_view(const telemetry::EntrySnapshot& e) {
 /// and no entry may list its own iif as an oif. The per-entry rules live in
 /// check/invariants.hpp, shared with the online iif-rpf watchdog.
 void check_iif_consistency(RunResult& out, const telemetry::MribSnapshot& snap,
-                           const std::map<std::string, const topo::Router*>& routers,
-                           const fault::FaultInjector& faults) {
+                           const scenario::World& world) {
     for (const telemetry::RouterMrib& r : snap.routers) {
-        const auto it = routers.find(r.router);
-        if (it == routers.end()) continue;
-        const topo::Router& router = *it->second;
-        if (faults.is_crashed(router)) continue;
+        const topo::Router* router = world.find_router(r.router);
+        if (router == nullptr || world.faults->is_crashed(*router)) continue;
         for (const telemetry::EntrySnapshot& e : r.entries) {
             const EntryView view = entry_view(e);
             EntryView shadow;
@@ -110,7 +96,7 @@ void check_iif_consistency(RunResult& out, const telemetry::MribSnapshot& snap,
                 }
             }
             for (const std::string& problem : entry_iif_problems(
-                     router, view, has_shadow ? &shadow : nullptr)) {
+                     *router, view, has_shadow ? &shadow : nullptr)) {
                 add_violation(out, "iif-consistency",
                               r.router + " " + e.key() + ": " + problem);
             }
@@ -119,13 +105,82 @@ void check_iif_consistency(RunResult& out, const telemetry::MribSnapshot& snap,
 }
 
 // ---------------------------------------------------------------------------
-// Scenario worlds
+// Worlds
 // ---------------------------------------------------------------------------
 
-struct FaultCandidate {
-    std::string label;
-    std::function<void()> fire;
+/// A world script, parsed once per process, and what the checker derives
+/// from it.
+struct LoadedWorld {
+    std::string text;
+    scenario::Script script;
+    ScenarioInfo info;
+    std::vector<std::string> segment_names; // info.segments' names
+    /// The first join's group: the data the crossing tap and tracer follow.
+    net::GroupAddress group;
+    std::vector<std::string> members; // hosts that join it, each once
+
+    LoadedWorld(const std::string& name, const std::string& script_text)
+        : text(script_text), script(script_text) {
+        const scenario::World& w = script.parsed();
+        const auto routers_on = [&w](const topo::Segment& segment) {
+            std::vector<std::string> routers;
+            for (const topo::Segment::Attachment& at : segment.attachments()) {
+                if (w.find_router(at.node->name()) != nullptr) routers.push_back(at.node->name());
+            }
+            return routers;
+        };
+        const auto add = [](std::vector<std::string>& to, const std::string& item) {
+            if (std::find(to.begin(), to.end(), item) == to.end()) to.push_back(item);
+        };
+        std::map<const topo::Segment*, std::string> lans; // the topology block's names
+        if (w.topo) {
+            for (const auto& [lan_name, lan] : w.topo->lans()) lans[lan] = lan_name;
+        }
+        info.name = name;
+        for (const auto& segment : w.net.segments()) {
+            ScenarioInfo::Segment seg{"", routers_on(*segment), lans.contains(segment.get())};
+            for (const std::string& router : seg.routers) {
+                seg.name += (seg.name.empty() ? "" : "-") + router; // "A-C" for a link
+            }
+            if (seg.lan) seg.name = lans.at(segment.get());
+            segment_names.push_back(seg.name);
+            info.segments.push_back(std::move(seg));
+        }
+        for (const scenario::FaultSlot& slot : script.fault_slots()) {
+            info.fault_slots.push_back(slot.at);
+            for (const scenario::FaultCandidate& cand : slot.candidates) {
+                add(info.fault_candidates, cand.label);
+                for (const std::string& router : cand.routers) add(info.critical_routers, router);
+            }
+        }
+        info.horizon = script.duration();
+        if (!script.joins().empty()) group = script.joins().front().second;
+        for (const auto& [host, joined] : script.joins()) {
+            if (joined != group) continue;
+            add(members, host);
+            const topo::Segment& lan = *w.host_ref(host).interfaces().front().segment;
+            for (const std::string& router : routers_on(lan)) add(info.member_routers, router);
+        }
+    }
 };
+
+const LoadedWorld& world_named(const std::string& name) {
+    struct Slot {
+        std::once_flag once;
+        std::unique_ptr<const LoadedWorld> world;
+    };
+    static std::vector<Slot> slots(kWorldScripts.size());
+    for (std::size_t i = 0; i < kWorldScripts.size(); ++i) {
+        if (kWorldScripts[i].first != name) continue;
+        std::call_once(slots[i].once, [i] {
+            slots[i].world = std::make_unique<const LoadedWorld>(kWorldScripts[i].first,
+                                                           kWorldScripts[i].second);
+        });
+        return *slots[i].world;
+    }
+    assert(false && "unknown scenario; validate against scenario_names()");
+    std::abort();
+}
 
 /// Shared per-run driver state: recorder, crossing tap, checkpointing and
 /// the convergence probe loop.
@@ -140,7 +195,7 @@ struct Driver {
     std::unique_ptr<Watchdog> watchdog;
 
     Driver(topo::Network& n, RunResult& o, const RunConfig& c,
-           net::Ipv4Address data_source)
+           net::Ipv4Address data_source, net::GroupAddress group)
         : net(n), out(o), cfg(c), recorder(c.choices) {
         recorder.bind(net.simulator());
         net.simulator().set_choice_source(&recorder);
@@ -153,7 +208,7 @@ struct Driver {
         });
         if (cfg.collect_trace) {
             tracer = std::make_unique<trace::PacketTracer>(net);
-            tracer->set_group_filter(checker_group());
+            tracer->set_group_filter(group);
             net.telemetry().set_tracing(true); // timeline needs events + spans
         }
         if (cfg.collect_trace || cfg.collect_provenance) {
@@ -195,8 +250,8 @@ struct Driver {
         watchdog->start();
     }
 
-    /// Resolves RunConfig::forced_loss segment names against this
-    /// scenario's segment table and arms the recorder's loss windows.
+    /// Resolves RunConfig::forced_loss segment names against the world's
+    /// segment table and arms the recorder's loss windows.
     void arm_forced_loss(const std::vector<std::string>& segment_names) {
         if (cfg.forced_loss.empty()) return;
         std::vector<LossWindow> windows;
@@ -212,24 +267,30 @@ struct Driver {
     }
 
     /// Installs one decision point per fault slot. Alternative 0 is "no
-    /// fault"; the rest fire the candidate (which schedules its own repair
-    /// if the scenario wants one).
-    void arm_fault_slots(const std::vector<sim::Time>& slots,
-                         const std::vector<FaultCandidate>& candidates) {
+    /// fault"; alternative j fires candidate j-1 and schedules its repair.
+    void arm_fault_slots(scenario::World& world,
+                         const std::vector<scenario::FaultSlot>& slots) {
         for (std::size_t i = 0; i < slots.size(); ++i) {
-            net.simulator().schedule_at(slots[i], [this, i, &candidates] {
+            const scenario::FaultSlot& slot = slots[i];
+            net.simulator().schedule_at(slot.at, [this, &world, &slot, i] {
+                const auto fire = [&](const scenario::FaultCandidate& cand) {
+                    cand.inject(world);
+                    if (!cand.undo) return;
+                    net.simulator().schedule_at(net.simulator().now() + cand.repair_after,
+                                                [&world, &cand] { cand.undo(world); });
+                };
                 if (!cfg.forced_fault.empty()) {
                     if (i != 0) return;
-                    for (const FaultCandidate& cand : candidates) {
-                        if (cand.label == cfg.forced_fault) cand.fire();
+                    for (const scenario::FaultCandidate& cand : slot.candidates) {
+                        if (cand.label == cfg.forced_fault) fire(cand);
                     }
                     return;
                 }
                 const std::size_t pick = recorder.choose(
-                    candidates.size() + 1,
+                    slot.candidates.size() + 1,
                     sim::ChoicePoint{sim::ChoicePoint::Kind::kFault,
                                      static_cast<int>(i)});
-                if (pick > 0) candidates[pick - 1].fire();
+                if (pick > 0) fire(slot.candidates[pick - 1]);
             });
         }
     }
@@ -307,511 +368,62 @@ struct Driver {
     }
 };
 
-// --- walkthrough -----------------------------------------------------------
-//
-// The §3 walkthrough reshaped so every §3.3/§3.5 mechanism is observable:
-//
-//       receiver(lan0) - A ----1ms---- C(RP) --1ms-- D - lan2(viewer)
-//                        |            /
-//                       1ms  20ms   1ms (metric 2)
-//                        |  /      /
-//                        E --- 20ms --- B - lan1(source)
-//
-// Topology (see kWalkthroughScript): A reaches the source via E-B (slow,
-// 21ms) but the RP directly (1ms), so A's SPT diverges from the shared
-// tree and the switchover handshake has a real in-flight window: the
-// shared path outruns the SPT by ~20ms. Pruning the shared arm before SPT
-// data arrives (the skip-spt-bit-handshake mutation) deterministically
-// loses the packets in that window; never pruning it (no-rp-bit-prune)
-// leaves a permanently redundant A-C crossing that A must iif-drop.
-// The viewer behind the RP keeps the shared tree carrying data, so the
-// RP's own (S,G) oif set stays observable.
-
-const std::vector<std::string> kWalkthroughSegments = {
-    "A-E", "E-B", "A-C", "B-C", "C-D", "lan0(A)", "lan1(B)", "lan2(D)"};
-
-const std::vector<sim::Time> kWalkthroughFaultSlots = {400 * kMs, 900 * kMs};
-constexpr sim::Time kWalkthroughRepairAfter = 350 * kMs;
-
-// Burst one exercises register + switchover (seqs 1..12); burst two lands
-// well after convergence and is the steady-state measurement window.
-constexpr std::uint64_t kSeqCount = 18;
-constexpr std::uint64_t kSteadyFirstSeq = 13;
-constexpr sim::Time kWalkthroughSteadyStart = 1550 * kMs;
-constexpr sim::Time kWalkthroughHorizon = 1900 * kMs;
-// Steady-state delivery tree: lan1, B-C, C-D, lan2, E-B, A-E, lan0.
-constexpr int kWalkthroughSteadyCrossings = 7;
-
-RunResult run_walkthrough(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& a = net.add_router("A");
-    topo::Router& b = net.add_router("B");
-    topo::Router& c = net.add_router("C");
-    topo::Router& d = net.add_router("D");
-    topo::Router& e = net.add_router("E");
-    net.add_link(a, e, 1 * kMs, 1);
-    topo::Segment& link_eb = net.add_link(e, b, 20 * kMs, 1);
-    topo::Segment& link_ac = net.add_link(a, c, 1 * kMs, 1);
-    net.add_link(b, c, 1 * kMs, 2);
-    net.add_link(c, d, 1 * kMs, 1);
-    topo::Segment& lan0 = net.add_lan({&a});
-    topo::Segment& lan1 = net.add_lan({&b});
-    topo::Segment& lan2 = net.add_lan({&d});
-    topo::Host& receiver = net.add_host("receiver", lan0);
-    topo::Host& source = net.add_host("source", lan1);
-    topo::Host& viewer = net.add_host("viewer", lan2);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    stack.set_rp(group, {c.router_id()});
-    stack.set_spt_policy(pim::SptPolicy::immediate());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, source.address());
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kWalkthroughSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(120 * kMs, [&] { stack.host_agent(receiver).join(group); });
-    sim.schedule_at(130 * kMs, [&] { stack.host_agent(viewer).join(group); });
-    source.send_stream(group, 12, 10 * kMs, 250 * kMs);
-    source.send_stream(group, 6, 20 * kMs, 1600 * kMs);
-
-    const std::vector<FaultCandidate> candidates = {
-        {"cut-link-A-C",
-         [&] {
-             faults.cut_link(link_ac);
-             faults.restore_link_at(sim.now() + kWalkthroughRepairAfter, link_ac);
-         }},
-        {"cut-link-E-B",
-         [&] {
-             faults.cut_link(link_eb);
-             faults.restore_link_at(sim.now() + kWalkthroughRepairAfter, link_eb);
-         }},
-        {"crash-router-E",
-         [&] {
-             faults.crash_router(e);
-             faults.restart_router_at(sim.now() + kWalkthroughRepairAfter, e);
-         }},
-        {"crash-router-C",
-         [&] {
-             faults.crash_router(c);
-             faults.restart_router_at(sim.now() + kWalkthroughRepairAfter, c);
-         }},
-    };
-    driver.arm_fault_slots(kWalkthroughFaultSlots, candidates);
-
-    driver.checkpoint_until(kWalkthroughSteadyStart, stack);
-    const std::uint64_t steady_iif_base = net.stats().data_dropped_iif();
-    driver.checkpoint_until(kWalkthroughHorizon, stack);
-    const std::uint64_t steady_iif_drops =
-        net.stats().data_dropped_iif() - steady_iif_base;
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
-
-    // --- oracles ---
-    check_loops(out, driver.crossings, kWalkthroughSegments,
-                net.stats().data_dropped_ttl());
-    check_duplicate_bound(out, receiver);
-    check_duplicate_bound(out, viewer);
-    const std::map<std::string, const topo::Router*> routers = {
-        {"A", &a}, {"B", &b}, {"C", &c}, {"D", &d}, {"E", &e}};
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    if (out.clean) {
-        // §3.3: switching from shared tree to SPT must not lose packets,
-        // and soft-state refresh must keep the tree delivering. On clean
-        // branches (pure event reorderings included) every member hears
-        // every sequence number.
-        for (const topo::Host* host : {&receiver, &viewer}) {
-            std::set<std::uint64_t> got;
-            std::map<std::uint64_t, int> steady_copies;
-            for (const topo::Host::ReceivedRecord& rec : host->received()) {
-                if (rec.source != source.address() || rec.group != group) continue;
-                got.insert(rec.seq);
-                if (rec.seq >= kSteadyFirstSeq) ++steady_copies[rec.seq];
+/// The oracles judged at the deadline, before the convergence probes run on:
+/// a bootstrap refresh lost during the probe tail may legitimately leave
+/// expired state whose repair the next period owes (the §3.4 soft-state
+/// discipline), and reading live agents there would turn that transient
+/// into a false violation.
+std::vector<Violation> judge_at_deadline(const scenario::Script& script, scenario::World& w) {
+    std::vector<Violation> out;
+    std::map<std::string, const topo::Router*> live; // by name
+    for (const auto& router : w.net.routers()) {
+        if (!w.faults->is_crashed(*router)) live[router->name()] = router.get();
+    }
+    for (const scenario::Oracle& o : script.oracles()) {
+        std::vector<Violation> found;
+        if (o.name == "rp-failover" || o.name == "bsr-rp-rehoming") {
+            // §3.9: members root at the primary RP, or at the backup once
+            // the primary has crashed.
+            const bool crashed = !live.contains(o.rp);
+            const std::string want =
+                w.router_ref(crashed ? o.backup : o.rp).router_id().to_string();
+            found = rehoming_violations(o.name, w.stack->capture_mrib(), o.args, want,
+                                        crashed ? " (" + o.rp + " crashed)" : "");
+        } else if (o.name == "exactly-one-bsr") {
+            // Every live router holds the same elected-BSR view, and
+            // exactly one live router claims the role.
+            net::Ipv4Address elected;
+            int claims = 0;
+            for (const auto& [name, router] : live) {
+                pim::BootstrapAgent& agent = w.pim_sm->bootstrap_at(*router);
+                if (agent.elected_bsr().is_unspecified()) {
+                    found.push_back({o.name, name + " has no elected-BSR view at the deadline"});
+                    continue;
+                }
+                if (elected.is_unspecified()) {
+                    elected = agent.elected_bsr();
+                } else if (agent.elected_bsr() != elected) {
+                    found.push_back({o.name, name + " elected " + agent.elected_bsr().to_string() +
+                                                 " while others elected " + elected.to_string()});
+                }
+                if (agent.is_elected_bsr()) ++claims;
             }
-            append(out, delivery_violations(host->name(), got, 1, kSeqCount));
-            append(out, steady_duplicate_violations(host->name(), steady_copies));
-        }
-        // §3.3/§3.5: a converged tree crosses exactly the delivery tree's
-        // segments once per packet. An extra crossing is a shared-tree arm
-        // that an RP-bit prune should have shut off.
-        append(out, steady_redundancy_violations(
-                        driver.crossings, kWalkthroughSegments, kSteadyFirstSeq,
-                        kSeqCount, kWalkthroughSteadyCrossings));
-        // §3.5: in steady state every packet arrives on the expected iif
-        // everywhere; iif-drops mean a stale or missing prune.
-        if (steady_iif_drops > 0) {
-            add_violation(out, "steady-iif",
-                          std::to_string(steady_iif_drops) +
-                              " iif-check drops during the steady-state window");
-        }
-    }
-    driver.emit_postmortem();
-    return out;
-}
-
-// --- rp-failover -----------------------------------------------------------
-//
-// §3.9: two member routers, a reachable alternate RP, and a fault slot
-// that can crash the primary. Crashing it must re-home every member's
-// (*,G) to the alternate within the RP-reachability timeout plus three
-// join/prune refreshes; leaving it alive (or merely losing one
-// reachability message) must not.
-
-const std::vector<std::string> kFailoverSegments = {
-    "M-R1", "N-R1", "M-R2", "N-R2", "R1-R2", "lan0(M)", "lan1(N)"};
-const std::vector<sim::Time> kFailoverFaultSlots = {500 * kMs};
-constexpr sim::Time kFailoverHorizon = 2300 * kMs; // crash + timeout + 3 refreshes
-
-RunResult run_rp_failover(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& m = net.add_router("M");
-    topo::Router& n = net.add_router("N");
-    topo::Router& r1 = net.add_router("R1");
-    topo::Router& r2 = net.add_router("R2");
-    net.add_link(m, r1, 1 * kMs, 1);
-    net.add_link(n, r1, 1 * kMs, 1);
-    net.add_link(m, r2, 1 * kMs, 3);
-    net.add_link(n, r2, 1 * kMs, 3);
-    net.add_link(r1, r2, 1 * kMs, 1);
-    topo::Segment& lan0 = net.add_lan({&m});
-    topo::Segment& lan1 = net.add_lan({&n});
-    topo::Host& h1 = net.add_host("h1", lan0);
-    topo::Host& h2 = net.add_host("h2", lan1);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    stack.set_rp(group, {r1.router_id(), r2.router_id()});
-    stack.set_spt_policy(pim::SptPolicy::never());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, net::Ipv4Address{});
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kFailoverSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(100 * kMs, [&] { stack.host_agent(h1).join(group); });
-    sim.schedule_at(110 * kMs, [&] { stack.host_agent(h2).join(group); });
-
-    const std::vector<FaultCandidate> candidates = {
-        {"crash-router-R1", [&] { faults.crash_router(r1); }},
-    };
-    driver.arm_fault_slots(kFailoverFaultSlots, candidates);
-
-    driver.checkpoint_until(kFailoverHorizon, stack);
-    // §3.9's deadline: judge failover on this capture, not on whatever the
-    // (open-ended) convergence probes later settle into.
-    const telemetry::MribSnapshot at_deadline = stack.capture_mrib();
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
-
-    check_loops(out, driver.crossings, kFailoverSegments,
-                net.stats().data_dropped_ttl());
-    const std::map<std::string, const topo::Router*> routers = {
-        {"M", &m}, {"N", &n}, {"R1", &r1}, {"R2", &r2}};
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    const bool crashed = faults.is_crashed(r1);
-    const std::string want_rp =
-        (crashed ? r2.router_id() : r1.router_id()).to_string();
-    append(out, rehoming_violations("rp-failover", at_deadline, {"M", "N"},
-                                    want_rp,
-                                    crashed ? " (primary RP crashed)" : ""));
-    driver.emit_postmortem();
-    return out;
-}
-
-// --- lan-assert ------------------------------------------------------------
-//
-// §2.2's LAN duplicate problem made persistent: two upstream routers
-// forward the same (S,G) traffic onto one shared LAN. U1 carries the
-// shared tree (downstream joins toward the RP C route through it); U2
-// carries the shortest path (the members switch immediately, and their
-// SPT iif equals their shared-tree iif, so the §3.3 divergence prune
-// never fires). Without asserts both forward every packet forever; with
-// them the SPT forwarder must win the election, the RPT loser must prune
-// its arm, and each steady-state packet crosses the LAN exactly once.
-//
-//       source - slan - B --2-- C(RP) --1-- U1
-//                       |                    |
-//                       1                    dlan -- R - rlan0 - rcv1
-//                       |                   /   |
-//                       U2 ----------------     R2 - rlan1 - rcv2
-
-const std::vector<std::string> kLanAssertSegments = {
-    "B-C", "C-U1", "B-U2", "dlan", "slan(B)", "rlan0(R)", "rlan1(R2)"};
-const std::vector<sim::Time> kLanAssertFaultSlots = {400 * kMs};
-constexpr sim::Time kLanAssertRepairAfter = 350 * kMs;
-// Burst one provokes the duplicate storm and the assert election; burst
-// two is the post-election steady-state measurement window. The horizon
-// stays inside the assert holdtime (1.8s scaled) so the loser's pruned
-// state is still live during the window.
-constexpr std::uint64_t kLanAssertSeqCount = 18;
-constexpr std::uint64_t kLanAssertSteadyFirstSeq = 13;
-constexpr sim::Time kLanAssertSteadyStart = 1250 * kMs;
-constexpr sim::Time kLanAssertHorizon = 1650 * kMs;
-// Steady delivery tree: slan, B-U2, dlan, rlan0, rlan1 — plus B-C, because
-// the RP keeps the source path warm while data flows (§3.10) even though
-// its own oif list is null after U1's RP-bit prune.
-constexpr int kLanAssertSteadyCrossings = 6;
-// Segment index of dlan in creation order (after the three links).
-constexpr int kLanAssertDlanSegment = 3;
-
-RunResult run_lan_assert(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& b = net.add_router("B");
-    topo::Router& c = net.add_router("C");
-    topo::Router& u1 = net.add_router("U1");
-    topo::Router& u2 = net.add_router("U2");
-    topo::Router& r = net.add_router("R");
-    topo::Router& r2 = net.add_router("R2");
-    net.add_link(b, c, 1 * kMs, 2);
-    net.add_link(c, u1, 1 * kMs, 1);
-    net.add_link(b, u2, 1 * kMs, 1);
-    net.add_lan({&u1, &u2, &r, &r2});
-    topo::Segment& slan = net.add_lan({&b});
-    topo::Segment& rlan0 = net.add_lan({&r});
-    topo::Segment& rlan1 = net.add_lan({&r2});
-    topo::Host& source = net.add_host("source", slan);
-    topo::Host& rcv1 = net.add_host("rcv1", rlan0);
-    topo::Host& rcv2 = net.add_host("rcv2", rlan1);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    stack.set_rp(group, {c.router_id()});
-    stack.set_spt_policy(pim::SptPolicy::immediate());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, source.address());
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kLanAssertSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(120 * kMs, [&] { stack.host_agent(rcv1).join(group); });
-    sim.schedule_at(130 * kMs, [&] { stack.host_agent(rcv2).join(group); });
-    source.send_stream(group, 12, 10 * kMs, 250 * kMs);
-    source.send_stream(group, 6, 20 * kMs, 1300 * kMs);
-
-    // Crashing the assert winner forces the members to re-home through the
-    // standing loser: their targeted joins must clear its loser state
-    // ("join overrides assert") or the LAN goes dark.
-    const std::vector<FaultCandidate> candidates = {
-        {"crash-router-U2",
-         [&] {
-             faults.crash_router(u2);
-             faults.restart_router_at(sim.now() + kLanAssertRepairAfter, u2);
-         }},
-    };
-    driver.arm_fault_slots(kLanAssertFaultSlots, candidates);
-
-    driver.checkpoint_until(kLanAssertHorizon, stack);
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
-
-    check_loops(out, driver.crossings, kLanAssertSegments,
-                net.stats().data_dropped_ttl());
-    check_duplicate_bound(out, rcv1);
-    check_duplicate_bound(out, rcv2);
-    const std::map<std::string, const topo::Router*> routers = {
-        {"B", &b}, {"C", &c}, {"U1", &u1}, {"U2", &u2}, {"R", &r}, {"R2", &r2}};
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    if (out.clean) {
-        // Delivery and zero-steady-duplicates: the assert election may cost
-        // a few early duplicates but never a loss, and once it resolves the
-        // LAN carries exactly one copy.
-        for (const topo::Host* host : {&rcv1, &rcv2}) {
-            std::set<std::uint64_t> got;
-            std::map<std::uint64_t, int> steady_copies;
-            for (const topo::Host::ReceivedRecord& rec : host->received()) {
-                if (rec.source != source.address() || rec.group != group) continue;
-                got.insert(rec.seq);
-                if (rec.seq >= kLanAssertSteadyFirstSeq) ++steady_copies[rec.seq];
+            if (claims != 1) {
+                found.push_back({o.name, std::to_string(claims) +
+                                             " live router(s) claim the BSR role, want exactly 1"});
             }
-            append(out, delivery_violations(host->name(), got, 1,
-                                            kLanAssertSeqCount));
-            append(out, steady_duplicate_violations(host->name(), steady_copies));
+        } else if (o.name == "rp-set-agreement") {
+            // The learned set maps the group to the same non-empty RP list
+            // on every live router.
+            const net::GroupAddress group{*net::Ipv4Address::parse(o.args.front())};
+            std::map<std::string, std::vector<net::Ipv4Address>> derived;
+            for (const auto& [name, router] : live) {
+                derived[name] = w.pim_sm->pim_at(*router).rp_set().rps_for(group);
+            }
+            found = rp_agreement_violations(derived, o.args.front());
         }
-        // The assert-winner oracle: a steady packet crossing dlan twice
-        // means both upstreams still forward — the loser never pruned.
-        // (No steady-iif oracle here: the loser keeps hearing the winner's
-        // copies on the LAN and iif-discarding them is exactly its job.)
-        append(out, assert_winner_violations(driver.crossings,
-                                             kLanAssertDlanSegment,
-                                             kLanAssertSteadyFirstSeq,
-                                             kLanAssertSeqCount));
-        append(out, steady_redundancy_violations(
-                        driver.crossings, kLanAssertSegments,
-                        kLanAssertSteadyFirstSeq, kLanAssertSeqCount,
-                        kLanAssertSteadyCrossings));
+        for (Violation& v : found) out.push_back(std::move(v));
     }
-    driver.emit_postmortem();
-    return out;
-}
-
-// --- bsr-failover ----------------------------------------------------------
-//
-// The rp-failover world rebuilt without oracle RP knowledge: no router has
-// a static RP; the mapping exists only through BSR election and
-// candidate-RP advertisement. R1 doubles as primary candidate BSR and
-// primary candidate RP, so one crash exercises both failovers at once —
-// the backup BSR B must take over after the BSR timeout, re-collect the
-// advertisements, and republish a set that re-homes every member onto R2.
-
-const std::vector<std::string> kBsrFailoverSegments = {
-    "M-R1", "N-R1", "M-R2", "N-R2", "R1-R2", "B-R1", "B-R2",
-    "lan0(M)", "lan1(N)"};
-const std::vector<sim::Time> kBsrFailoverFaultSlots = {500 * kMs};
-// Re-homing deadline: crash + BSR timeout (1.5s scaled) + a tick for the
-// takeover + up to two lost-and-retried publication waves (the explorer
-// may drop the triggered advertisement and one periodic retry; periodic
-// origination re-floods every 0.6s).
-constexpr sim::Time kBsrFailoverHorizon = 3300 * kMs;
-
-RunResult run_bsr_failover(const RunConfig& cfg) {
-    RunResult out;
-    const net::GroupAddress group = checker_group();
-
-    topo::Network net;
-    topo::Router& m = net.add_router("M");
-    topo::Router& n = net.add_router("N");
-    topo::Router& r1 = net.add_router("R1");
-    topo::Router& r2 = net.add_router("R2");
-    topo::Router& b = net.add_router("B");
-    net.add_link(m, r1, 1 * kMs, 1);
-    net.add_link(n, r1, 1 * kMs, 1);
-    net.add_link(m, r2, 1 * kMs, 3);
-    net.add_link(n, r2, 1 * kMs, 3);
-    net.add_link(r1, r2, 1 * kMs, 1);
-    net.add_link(b, r1, 1 * kMs, 1);
-    net.add_link(b, r2, 1 * kMs, 1);
-    topo::Segment& lan0 = net.add_lan({&m});
-    topo::Segment& lan1 = net.add_lan({&n});
-    topo::Host& h1 = net.add_host("h1", lan0);
-    topo::Host& h2 = net.add_host("h2", lan1);
-
-    unicast::OracleRouting routing(net);
-    scenario::StackConfig config = scenario::StackConfig{}.scaled(0.01);
-    const bool mutation_ok = apply_mutation(cfg.mutation, config);
-    assert(mutation_ok);
-    (void)mutation_ok;
-    scenario::PimSmStack stack(net, config);
-    const net::Prefix all_groups{net::Ipv4Address{224, 0, 0, 0}, 4};
-    stack.set_candidate_bsr(r1, 20);
-    stack.set_candidate_bsr(b, 10);
-    stack.set_candidate_rp(r1, all_groups, 20);
-    stack.set_candidate_rp(r2, all_groups, 10);
-    stack.set_spt_policy(pim::SptPolicy::never());
-    fault::FaultInjector faults(net);
-    stack.wire_faults(faults);
-
-    Driver driver(net, out, cfg, net::Ipv4Address{});
-    driver.attach_watchdog(stack);
-    driver.arm_forced_loss(kBsrFailoverSegments);
-    sim::Simulator& sim = net.simulator();
-
-    sim.schedule_at(100 * kMs, [&] { stack.host_agent(h1).join(group); });
-    sim.schedule_at(110 * kMs, [&] { stack.host_agent(h2).join(group); });
-
-    const std::vector<FaultCandidate> candidates = {
-        {"crash-router-R1", [&] { faults.crash_router(r1); }},
-        {"crash-router-B", [&] { faults.crash_router(b); }},
-    };
-    driver.arm_fault_slots(kBsrFailoverFaultSlots, candidates);
-
-    driver.checkpoint_until(kBsrFailoverHorizon, stack);
-    const telemetry::MribSnapshot at_deadline = stack.capture_mrib();
-    // The BSR-view and RP-set oracles are snapshotted at this same instant,
-    // not after the convergence probes: a bootstrap refresh lost during the
-    // probe tail may legitimately leave expired state whose repair the next
-    // period owes (the §3.4 soft-state discipline), and reading live agents
-    // there would turn that transient into a false violation.
-    const std::map<std::string, const topo::Router*> routers = {
-        {"M", &m}, {"N", &n}, {"R1", &r1}, {"R2", &r2}, {"B", &b}};
-    struct BsrView {
-        net::Ipv4Address elected;
-        bool claims = false;
-    };
-    std::map<std::string, BsrView> views;
-    std::map<std::string, std::vector<net::Ipv4Address>> derived;
-    for (const auto& [name, router] : routers) {
-        if (faults.is_crashed(*router)) continue;
-        pim::BootstrapAgent& agent = stack.bootstrap_at(*router);
-        views[name] = {agent.elected_bsr(), agent.is_elected_bsr()};
-        derived[name] = stack.pim_at(*router).rp_set().rps_for(group);
-    }
-    driver.probe_convergence(stack, config.pim.join_prune_interval);
-    driver.finish();
-
-    check_loops(out, driver.crossings, kBsrFailoverSegments,
-                net.stats().data_dropped_ttl());
-    check_iif_consistency(out, out.final_mrib, routers, faults);
-
-    // exactly-one-bsr: every live router holds the same elected-BSR view,
-    // and exactly one live router claims the role.
-    net::Ipv4Address elected;
-    int claims = 0;
-    for (const auto& [name, view] : views) {
-        if (view.elected.is_unspecified()) {
-            add_violation(out, "exactly-one-bsr",
-                          name + " has no elected-BSR view at the deadline");
-            continue;
-        }
-        if (elected.is_unspecified()) {
-            elected = view.elected;
-        } else if (view.elected != elected) {
-            add_violation(out, "exactly-one-bsr",
-                          name + " elected " + view.elected.to_string() +
-                              " while others elected " + elected.to_string());
-        }
-        if (view.claims) ++claims;
-    }
-    if (claims != 1) {
-        add_violation(out, "exactly-one-bsr",
-                      std::to_string(claims) +
-                          " live router(s) claim the BSR role, want exactly 1");
-    }
-
-    // rp-set-agreement: the learned set must map the group to the same
-    // non-empty RP list on every live router.
-    append(out, rp_agreement_violations(derived, group.to_string()));
-
-    // bsr-rp-rehoming: like rp-failover's oracle, judged at the deadline
-    // capture — members must root at the hash-elected RP of whatever set
-    // survived the fault slot.
-    const bool r1_crashed = faults.is_crashed(r1);
-    const std::string want_rp =
-        (r1_crashed ? r2.router_id() : r1.router_id()).to_string();
-    append(out, rehoming_violations(
-                    "bsr-rp-rehoming", at_deadline, {"M", "N"}, want_rp,
-                    r1_crashed ? " (primary candidate RP crashed)" : ""));
-    driver.emit_postmortem();
     return out;
 }
 
@@ -819,176 +431,12 @@ RunResult run_bsr_failover(const RunConfig& cfg) {
 // Replay script emission
 // ---------------------------------------------------------------------------
 
-std::string time_ms(sim::Time t) {
-    return std::to_string(t / kMs) + "ms";
+std::string format_time(sim::Time t) {
+    return t % kMs == 0 ? std::to_string(t / kMs) + "ms"
+                        : std::to_string(t / sim::kMicrosecond) + "us";
 }
 
-const char* kWalkthroughScript = R"(topology
-router A
-router B
-router C
-router D
-router E
-link A E delay=1ms metric=1
-link E B delay=20ms metric=1
-link A C delay=1ms metric=1
-link B C delay=1ms metric=2
-link C D delay=1ms metric=1
-lan lan0 A
-lan lan1 B
-lan lan2 D
-host receiver lan0
-host source lan1
-host viewer lan2
-end
-protocol pim-sm
-rp 224.9.9.9 C
-spt-policy immediate
-trace on
-at 120ms join receiver 224.9.9.9
-at 130ms join viewer 224.9.9.9
-at 250ms send source 224.9.9.9 count=12 interval=10ms
-at 1600ms send source 224.9.9.9 count=6 interval=20ms
-)";
-
-const char* kFailoverScript = R"(topology
-router M
-router N
-router R1
-router R2
-link M R1 delay=1ms metric=1
-link N R1 delay=1ms metric=1
-link M R2 delay=1ms metric=3
-link N R2 delay=1ms metric=3
-link R1 R2 delay=1ms metric=1
-lan lan0 M
-lan lan1 N
-host h1 lan0
-host h2 lan1
-end
-protocol pim-sm
-rp 224.9.9.9 R1 R2
-spt-policy never
-trace on
-at 100ms join h1 224.9.9.9
-at 110ms join h2 224.9.9.9
-)";
-
-const char* kLanAssertScript = R"(topology
-router B
-router C
-router U1
-router U2
-router R
-router R2
-link B C delay=1ms metric=2
-link C U1 delay=1ms metric=1
-link B U2 delay=1ms metric=1
-lan dlan U1 U2 R R2
-lan slan B
-lan rlan0 R
-lan rlan1 R2
-host source slan
-host rcv1 rlan0
-host rcv2 rlan1
-end
-protocol pim-sm
-rp 224.9.9.9 C
-spt-policy immediate
-trace on
-at 120ms join rcv1 224.9.9.9
-at 130ms join rcv2 224.9.9.9
-at 250ms send source 224.9.9.9 count=12 interval=10ms
-at 1300ms send source 224.9.9.9 count=6 interval=20ms
-)";
-
-const char* kBsrFailoverScript = R"(topology
-router M
-router N
-router R1
-router R2
-router B
-link M R1 delay=1ms metric=1
-link N R1 delay=1ms metric=1
-link M R2 delay=1ms metric=3
-link N R2 delay=1ms metric=3
-link R1 R2 delay=1ms metric=1
-link B R1 delay=1ms metric=1
-link B R2 delay=1ms metric=1
-lan lan0 M
-lan lan1 N
-host h1 lan0
-host h2 lan1
-end
-protocol pim-sm
-candidate-bsr R1 20
-candidate-bsr B 10
-candidate-rp 224.0.0.0/4 R1 20
-candidate-rp 224.0.0.0/4 R2 10
-spt-policy never
-trace on
-at 100ms join h1 224.9.9.9
-at 110ms join h2 224.9.9.9
-)";
-
-/// Fault directives equivalent to firing candidate `value - 1` at `slot`.
-std::string fault_directives(const std::string& scenario, std::size_t slot,
-                             std::uint32_t value) {
-    if (value == 0) return {};
-    std::string out;
-    if (scenario == "walkthrough") {
-        if (slot >= kWalkthroughFaultSlots.size()) return {};
-        const sim::Time at = kWalkthroughFaultSlots[slot];
-        const sim::Time repair = at + kWalkthroughRepairAfter;
-        switch (value) {
-        case 1:
-            out += "at " + time_ms(at) + " fail-link A C\n";
-            out += "at " + time_ms(repair) + " heal-link A C\n";
-            break;
-        case 2:
-            out += "at " + time_ms(at) + " fail-link E B\n";
-            out += "at " + time_ms(repair) + " heal-link E B\n";
-            break;
-        case 3:
-            out += "at " + time_ms(at) + " crash-router E\n";
-            out += "at " + time_ms(repair) + " restart-router E\n";
-            break;
-        case 4:
-            out += "at " + time_ms(at) + " crash-router C\n";
-            out += "at " + time_ms(repair) + " restart-router C\n";
-            break;
-        default: break;
-        }
-    } else if (scenario == "rp-failover") {
-        if (slot == 0 && value == 1) {
-            out += "at " + time_ms(kFailoverFaultSlots[0]) + " crash-router R1\n";
-        }
-    } else if (scenario == "lan-assert") {
-        if (slot == 0 && value == 1) {
-            const sim::Time at = kLanAssertFaultSlots[0];
-            out += "at " + time_ms(at) + " crash-router U2\n";
-            out += "at " + time_ms(at + kLanAssertRepairAfter) +
-                   " restart-router U2\n";
-        }
-    } else if (scenario == "bsr-failover") {
-        if (slot == 0 && value == 1) {
-            out += "at " + time_ms(kBsrFailoverFaultSlots[0]) +
-                   " crash-router R1\n";
-        } else if (slot == 0 && value == 2) {
-            out += "at " + time_ms(kBsrFailoverFaultSlots[0]) +
-                   " crash-router B\n";
-        }
-    }
-    return out;
-}
-
-std::string describe_choice(const std::string& scenario, std::uint32_t index,
-                            const ChoiceRec& rec) {
-    const std::vector<std::string>& segs =
-        scenario == "walkthrough"    ? kWalkthroughSegments
-        : scenario == "lan-assert"   ? kLanAssertSegments
-        : scenario == "bsr-failover" ? kBsrFailoverSegments
-                                     : kFailoverSegments;
+std::string describe_choice(const LoadedWorld& world, std::uint32_t index, const ChoiceRec& rec) {
     std::string what;
     switch (rec.point.kind) {
     case sim::ChoicePoint::Kind::kEventOrder:
@@ -998,24 +446,35 @@ std::string describe_choice(const std::string& scenario, std::uint32_t index,
     case sim::ChoicePoint::Kind::kFrameLoss: {
         const auto seg = static_cast<std::size_t>(rec.point.detail);
         what = "drop the frame crossing segment " +
-               (seg < segs.size() ? segs[seg] : std::to_string(rec.point.detail));
+               (seg < world.segment_names.size() ? world.segment_names[seg]
+                                                 : std::to_string(rec.point.detail));
         break;
     }
     case sim::ChoicePoint::Kind::kFault:
-        what = "inject fault candidate " + std::to_string(rec.pick) +
+        what = "inject fault " +
+               world.script.fault_slots()
+                   .at(static_cast<std::size_t>(rec.point.detail))
+                   .candidates.at(rec.pick - 1)
+                   .label +
                " at slot " + std::to_string(rec.point.detail);
         break;
     }
-    return "choice " + std::to_string(index) + " at t=" + time_ms(rec.at) + ": " +
-           what;
+    return "choice " + std::to_string(index) + " at t=" + format_time(rec.at) + ": " + what;
 }
 
 } // namespace
 
 const std::vector<std::string>& scenario_names() {
-    static const std::vector<std::string> names = {"walkthrough", "rp-failover",
-                                                   "lan-assert", "bsr-failover"};
+    static const std::vector<std::string> names = [] {
+        std::vector<std::string> v;
+        for (const auto& [name, text] : kWorldScripts) v.push_back(name);
+        return v;
+    }();
     return names;
+}
+
+const ScenarioInfo& scenario_info(const std::string& name) {
+    return world_named(name).info;
 }
 
 const std::vector<std::string>& known_mutations() {
@@ -1024,38 +483,6 @@ const std::vector<std::string>& known_mutations() {
         "assert-loser-keeps-forwarding", "stale-rp-set-after-bsr-failover",
         "one-shot-assert", "fragile-rp-holdtime"};
     return names;
-}
-
-const ScenarioInfo& scenario_info(const std::string& name) {
-    static const std::vector<ScenarioInfo> infos = [] {
-        std::vector<ScenarioInfo> v;
-        v.push_back(ScenarioInfo{
-            "walkthrough", kWalkthroughSegments, kWalkthroughFaultSlots,
-            {"cut-link-A-C", "cut-link-E-B", "crash-router-E", "crash-router-C"},
-            kWalkthroughHorizon,
-            {"B", "D"}});
-        v.push_back(ScenarioInfo{"rp-failover", kFailoverSegments,
-                                 kFailoverFaultSlots,
-                                 {"crash-router-R1"},
-                                 kFailoverHorizon,
-                                 {"M", "N"}});
-        v.push_back(ScenarioInfo{"lan-assert", kLanAssertSegments,
-                                 kLanAssertFaultSlots,
-                                 {"crash-router-U2"},
-                                 kLanAssertHorizon,
-                                 {"R", "R2"}});
-        v.push_back(ScenarioInfo{"bsr-failover", kBsrFailoverSegments,
-                                 kBsrFailoverFaultSlots,
-                                 {"crash-router-R1", "crash-router-B"},
-                                 kBsrFailoverHorizon,
-                                 {"M", "N"}});
-        return v;
-    }();
-    for (const ScenarioInfo& info : infos) {
-        if (info.name == name) return info;
-    }
-    assert(false && "unknown scenario; validate against scenario_names()");
-    return infos.front();
 }
 
 const MutationTrigger& trigger_for_mutation(const std::string& mutation) {
@@ -1120,25 +547,98 @@ std::string scenario_for_mutation(const std::string& mutation) {
     return "walkthrough";
 }
 
-std::string forced_fault_for_mutation(const std::string& mutation) {
-    return trigger_for_mutation(mutation).fault;
-}
-
 bool mutation_requires_search(const std::string& mutation) {
     return !trigger_for_mutation(mutation).losses.empty();
 }
 
 RunResult run_scenario(const std::string& name, const RunConfig& cfg) {
-    if (name == "walkthrough") return run_walkthrough(cfg);
-    if (name == "rp-failover") return run_rp_failover(cfg);
-    if (name == "lan-assert") return run_lan_assert(cfg);
-    if (name == "bsr-failover") return run_bsr_failover(cfg);
-    assert(false && "unknown scenario; validate against scenario_names()");
-    return {};
+    const LoadedWorld& world = world_named(name);
+    const scenario::Script& script = world.script;
+    RunResult out;
+    const std::unique_ptr<scenario::World> w = script.build(cfg.mutation);
+    topo::Network& net = w->net;
+    scenario::StackBase& stack = *w->stack;
+    const topo::Host* sender =
+        script.sender().empty() ? nullptr : &w->host_ref(script.sender());
+
+    Driver driver(net, out, cfg, sender ? sender->address() : net::Ipv4Address{},
+                  world.group);
+    driver.attach_watchdog(stack);
+    driver.arm_forced_loss(world.segment_names);
+    script.schedule(*w);
+    driver.arm_fault_slots(*w, script.fault_slots());
+
+    std::uint64_t steady_iif_drops = 0;
+    for (const scenario::Oracle& o : script.oracles()) {
+        if (o.name != "steady-iif") continue;
+        driver.checkpoint_until(o.from, stack);
+        steady_iif_drops = net.stats().data_dropped_iif();
+    }
+    driver.checkpoint_until(world.info.horizon, stack);
+    steady_iif_drops = net.stats().data_dropped_iif() - steady_iif_drops;
+    std::vector<Violation> at_deadline = judge_at_deadline(script, *w);
+    driver.probe_convergence(stack, w->config.pim.join_prune_interval);
+    driver.finish();
+
+    append(out, loop_violations(driver.crossings, world.segment_names,
+                                net.stats().data_dropped_ttl()));
+    for (const auto& host : net.hosts()) {
+        append(out, duplicate_bound_violations(host->name(), host->duplicate_count()));
+    }
+    check_iif_consistency(out, out.final_mrib, *w);
+    append(out, std::move(at_deadline));
+
+    for (const scenario::Oracle& o : script.oracles()) {
+        // Efficiency and completeness hold only on clean branches: the
+        // protocol's own spec tolerates transient loss after a dropped
+        // control message (soft state repairs at the next refresh, §3.4).
+        if (o.name == "delivery" && out.clean) {
+            // §3.3: switching from shared tree to SPT must not lose
+            // packets, and soft-state refresh must keep the tree delivering.
+            for (const std::string& member : world.members) {
+                std::set<std::uint64_t> got;
+                std::map<std::uint64_t, int> steady_copies;
+                for (const topo::Host::ReceivedRecord& rec : w->host_ref(member).received()) {
+                    if (rec.source != sender->address() || rec.group != world.group) continue;
+                    got.insert(rec.seq);
+                    if (rec.seq >= o.steady.first && rec.seq <= o.steady.second) {
+                        ++steady_copies[rec.seq];
+                    }
+                }
+                append(out, delivery_violations(member, got, o.seqs.first, o.seqs.second));
+                append(out, steady_duplicate_violations(member, steady_copies));
+            }
+        } else if (o.name == "steady-redundancy" && out.clean) {
+            // §3.3/§3.5: a converged tree crosses exactly the delivery
+            // tree's segments once per packet; an extra crossing is a
+            // shared-tree arm an RP-bit prune should have shut off.
+            append(out, steady_redundancy_violations(driver.crossings, world.segment_names,
+                                                     o.steady.first, o.steady.second,
+                                                     o.crossings));
+        } else if (o.name == "steady-iif" && out.clean && steady_iif_drops > 0) {
+            // §3.5: in steady state every packet arrives on the expected
+            // iif everywhere; iif-drops mean a stale or missing prune.
+            add_violation(out, "steady-iif",
+                          std::to_string(steady_iif_drops) +
+                              " iif-check drops during the steady-state window");
+        } else if (o.name == "assert-winner" && out.clean) {
+            // A steady packet crossing the LAN twice means both upstreams
+            // still forward: the loser never pruned.
+            const auto lan = std::find(world.segment_names.begin(), world.segment_names.end(),
+                                       o.args.front());
+            append(out, assert_winner_violations(
+                            driver.crossings,
+                            static_cast<int>(std::distance(world.segment_names.begin(), lan)),
+                            o.steady.first, o.steady.second));
+        }
+    }
+    driver.emit_postmortem();
+    return out;
 }
 
 std::string replay_script(const std::string& name, const std::string& mutation,
                           const RunResult& result) {
+    const LoadedWorld& world = world_named(name);
     std::string out = "# pimcheck counterexample -- scenario " + name;
     if (!mutation.empty()) out += " --mutate " + mutation;
     out += "\n";
@@ -1152,9 +652,14 @@ std::string replay_script(const std::string& name, const std::string& mutation,
         const ChoiceRec& rec = result.trace[i];
         if (rec.pick == 0) continue;
         forced.push_back(Pick{static_cast<std::uint32_t>(i), rec.pick});
-        if (rec.point.kind == sim::ChoicePoint::Kind::kFault) {
-            fault_lines += fault_directives(
-                name, static_cast<std::size_t>(rec.point.detail), rec.pick);
+        if (rec.point.kind != sim::ChoicePoint::Kind::kFault) continue;
+        const scenario::FaultSlot& slot =
+            world.script.fault_slots().at(static_cast<std::size_t>(rec.point.detail));
+        const scenario::FaultCandidate& cand = slot.candidates.at(rec.pick - 1);
+        fault_lines += "at " + format_time(slot.at) + " " + cand.fault + "\n";
+        if (!cand.repair.empty()) {
+            fault_lines +=
+                "at " + format_time(slot.at + cand.repair_after) + " " + cand.repair + "\n";
         }
     }
     if (forced.empty()) {
@@ -1167,23 +672,16 @@ std::string replay_script(const std::string& name, const std::string& mutation,
         if (!mutation.empty()) out += " --mutate " + mutation;
         out += " --replay " + format_choices(forced) + "):\n";
         for (const Pick& pick : forced) {
-            out += "#   " + describe_choice(name, pick.index,
-                                            result.trace[pick.index]) +
-                   "\n";
+            out += "#   " + describe_choice(world, pick.index, result.trace[pick.index]) + "\n";
         }
         out += "# fault injections replay below; pimsim cannot force "
                "message-level order/loss\n";
     }
-    out += name == "walkthrough"    ? kWalkthroughScript
-           : name == "lan-assert"   ? kLanAssertScript
-           : name == "bsr-failover" ? kBsrFailoverScript
-                                    : kFailoverScript;
-    out += fault_lines;
-    const sim::Time run_for = name == "walkthrough"    ? 2500 * kMs
-                             : name == "lan-assert"    ? 2200 * kMs
-                             : name == "bsr-failover"  ? 3800 * kMs
-                                                       : 2400 * kMs;
-    out += "run " + time_ms(run_for) + "\n";
+    out += world.text;
+    if (!out.empty() && out.back() != '\n') out += "\n";
+    out += "# the branch: its mutation and faults, run to its end (the convergence probes)\n";
+    if (!mutation.empty()) out += "mutate " + mutation + "\n";
+    out += "trace on\n" + fault_lines + "run " + format_time(result.end_time) + "\n";
     return out;
 }
 

@@ -1,47 +1,32 @@
 // The checker's scenarios and invariant oracles.
 //
-// A scenario is a small, fully scripted pimlib world (topology + PIM-SM
-// stack + oracle unicast routing + stimuli) run once under a ChoiceRecorder.
-// After the run, invariant oracles derived from the paper are evaluated:
+// A scenario is a world script, examples/scenarios/<name>.pimsim, embedded
+// at build time and parsed once per process. Every branch builds a fresh
+// world from it under a ChoiceRecorder: its `fault-slot` lines are the
+// fault decision points, and its `run` duration is the deadline its
+// oracles judge at, before convergence probes run on. Every world gets:
 //
 //   duplicate-bound      no host sees more than a handful of (source,seq)
 //                        duplicates; a forwarding loop dupes every packet
 //   forwarding-loop      no data packet crosses the same segment more than
 //                        a few times, and nothing dies of TTL exhaustion
-//   steady-duplicate     zero duplicates in the post-convergence window
-//   delivery             every packet sent while all members are joined is
-//                        delivered to every member (§3.3's lossless
-//                        SPT-switchover claim; clean branches only)
-//   steady-redundancy    each steady-state packet crosses exactly the
-//                        expected tree's segments — one extra crossing means
-//                        a missing RP-bit negative cache (§3.3, §3.5)
-//   steady-iif           zero incoming-interface check failures in steady
-//                        state (§3.5's iif discipline; clean branches only)
 //   iif-consistency      every surviving MRIB entry's iif agrees with the
 //                        unicast RPF oracle, and never appears in its own
 //                        oif list (§2.3, §3.8)
-//   convergence          after stimuli stop, the global MRIB reaches a
-//                        stable state or a recurrent soft-state orbit
-//   rp-failover          (rp-failover scenario) after the primary RP dies,
-//                        every member router's (*,G) re-homes to the
-//                        alternate RP (§3.9)
-//   assert-winner        (lan-assert scenario) after the per-interface
-//                        Assert election, each steady packet crosses the
-//                        contested LAN exactly once — one winner forwards,
-//                        every loser holds its prune
-//   exactly-one-bsr      (bsr-failover scenario) every live router agrees on
-//                        the elected BSR, and exactly one live router claims
-//                        the role
-//   rp-set-agreement     (bsr-failover scenario) every live router derives
-//                        the same non-empty RP list from the learned set
-//   bsr-rp-rehoming      (bsr-failover scenario) members' (*,G) entries root
-//                        at the hash-elected RP of the surviving set — after
-//                        the primary candidate RP (and BSR) crashes, they
-//                        re-home to the backup within the §3.9-style bound
+//   convergence          after the run, the global MRIB stabilizes or
+//                        revisits a state (a soft-state orbit)
 //
-// Oracles that assert efficiency or completeness only apply to "clean"
-// branches — no forced frame loss and no injected fault — because the
-// protocol's own spec tolerates transient loss after a dropped control
+// and the ones its `oracle` lines name (script.hpp has their arguments):
+// delivery (§3.3's lossless SPT switchover, with zero steady-state
+// duplicates), steady-redundancy (a missing RP-bit negative cache shows as
+// an extra crossing, §3.3/§3.5), steady-iif (§3.5's iif discipline),
+// assert-winner (one forwarder per LAN after the Assert election),
+// rp-failover and bsr-rp-rehoming (§3.9: members re-home to the backup RP
+// after the primary dies), exactly-one-bsr and rp-set-agreement.
+//
+// delivery, steady-redundancy, steady-iif and assert-winner apply only to
+// "clean" branches — no forced frame loss and no injected fault — because
+// the protocol's own spec tolerates transient loss after a dropped control
 // message (soft state repairs at the next periodic refresh, §3.4).
 #pragma once
 
@@ -56,7 +41,7 @@
 
 namespace pimlib::check {
 
-/// Drop every frame crossing `segment` (by scenario segment name) whose
+/// Drop every frame crossing `segment` (by ScenarioInfo segment name) whose
 /// transmission time falls in [from, to). A robust test trigger for
 /// loss-dependent bugs: unlike a forced Pick it keys on (segment, time),
 /// so it survives trace reshaping between protocol revisions.
@@ -71,8 +56,8 @@ struct RunConfig {
     ChoiceSet choices;
     /// Seeded-bug selector: "" or one of known_mutations().
     std::string mutation;
-    /// Unconditionally apply this fault candidate at the first fault slot
-    /// (by label, bypassing the choice machinery). Test hook.
+    /// Unconditionally apply this fault candidate (by label) at the first
+    /// fault slot, bypassing the choice machinery. Test hook.
     std::string forced_fault;
     /// Unconditionally drop frames in these (segment, time-window) slots.
     /// The drops are recorded as ordinary non-default picks, so the run is
@@ -128,22 +113,28 @@ struct RunResult {
     std::size_t watchdog_count = 0;
 };
 
-/// Static metadata about a scenario world, exported for the backward
-/// search engine (check/backward.hpp): it needs to reason about fault
-/// candidates, segments and deadlines *before* replaying anything.
+/// What the backward search engine (check/backward.hpp) knows about a
+/// world before replaying anything, derived from its parsed script.
 struct ScenarioInfo {
+    struct Segment {
+        std::string name;                 // "A-C" for a link, the LAN's name
+        std::vector<std::string> routers; // attached routers
+        bool lan = false;
+    };
     std::string name;
-    /// Segment names in creation order — the index is exactly the
+    /// Segments in creation order — the index is exactly the
     /// ChoicePoint::detail of kFrameLoss decisions on that segment.
-    std::vector<std::string> segments;
+    std::vector<Segment> segments;
     /// Fault-slot firing times; slot i is ChoicePoint::detail i of kFault.
     std::vector<sim::Time> fault_slots;
-    /// Fault candidate labels; candidate j fires on pick value j+1.
+    /// Every slot's candidate labels ("fail-link-A-C"), each once.
     std::vector<std::string> fault_candidates;
-    /// The oracle-judgment deadline (checkpoint horizon before the
-    /// convergence probes take over).
+    /// The routers the fault candidates name: the ones the world's author
+    /// considered protocol-critical.
+    std::vector<std::string> critical_routers;
+    /// The oracles' deadline (the script's `run` duration).
     sim::Time horizon = 0;
-    /// Last-hop routers with joined members behind them — the routers whose
+    /// Routers on the LANs of the hosts that join: the routers whose
     /// forwarding state the delivery/re-homing oracles judge. Backward
     /// search ranks losses on member↔critical-router links first.
     std::vector<std::string> member_routers;
@@ -182,20 +173,15 @@ struct MutationTrigger {
 /// "walkthrough" for unknown names.
 [[nodiscard]] std::string scenario_for_mutation(const std::string& mutation);
 
-/// The fault (RunConfig::forced_fault syntax) a mutation needs before its
-/// symptom appears on the deterministic baseline branch, or "" when it is
-/// visible without one. A stale RP set, for instance, is indistinguishable
-/// from a fresh one until the elected BSR actually dies.
-[[nodiscard]] std::string forced_fault_for_mutation(const std::string& mutation);
-
 /// Runs one branch of `name`. Aborts (assert) on unknown scenario names —
 /// callers validate against scenario_names() first.
 [[nodiscard]] RunResult run_scenario(const std::string& name, const RunConfig& cfg);
 
-/// A pimsim directive script reproducing `result`'s branch of `name`:
-/// topology, stimuli and fault injections replay exactly; message-level
-/// order/loss choices (which pimsim cannot force) are documented as
-/// comments, including the --replay spec for reproducing them in pimcheck.
+/// A pimsim script reproducing `result`'s branch of `name`: the world's
+/// own script, the mutation, `trace on`, the fired fault candidates as
+/// `at` lines, and a `run` to the branch's end. Message-level order/loss
+/// choices (which pimsim cannot force) are documented as comments,
+/// including the --replay spec for reproducing them in pimcheck.
 [[nodiscard]] std::string replay_script(const std::string& name,
                                         const std::string& mutation,
                                         const RunResult& result);

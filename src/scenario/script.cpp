@@ -4,30 +4,20 @@
 #include <charconv>
 #include <cmath>
 #include <fstream>
-#include <functional>
 #include <limits>
-#include <memory>
-#include <optional>
+#include <map>
 #include <random>
-#include <sstream>
+#include <set>
+#include <string_view>
 #include <stdexcept>
 
 #include "check/scenario.hpp"
-#include "check/watchdog.hpp"
 #include "fault/fault_injector.hpp"
-#include "provenance/provenance.hpp"
-#include "scenario/stacks.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/profiler/export.hpp"
 #include "telemetry/profiler/profiler.hpp"
-#include "telemetry/tree_monitor.hpp"
-#include "topo/builder.hpp"
 #include "topo/segment.hpp"
 #include "trace/timeline.hpp"
-#include "trace/tracer.hpp"
-#include "unicast/oracle_routing.hpp"
-#include "workload/churn.hpp"
-#include "workload/topology.hpp"
 
 namespace pimlib::scenario {
 namespace {
@@ -78,22 +68,45 @@ net::GroupAddress parse_group(int line, const std::string& text) {
     return net::GroupAddress{*addr};
 }
 
-/// One script line, split on whitespace.
+/// Whitespace-separated words of `text`. (Plain string scanning: the
+/// parser runs in every checker process, which otherwise never touches
+/// the iostream machinery.)
+std::vector<std::string> words(std::string_view text) {
+    constexpr std::string_view kSpace = " \t\r\n\v\f";
+    std::vector<std::string> out;
+    for (std::size_t i = text.find_first_not_of(kSpace); i != std::string_view::npos;
+         i = text.find_first_not_of(kSpace, i)) {
+        const std::size_t end = std::min(text.find_first_of(kSpace, i), text.size());
+        out.emplace_back(text.substr(i, end - i));
+        i = end;
+    }
+    return out;
+}
+
+/// `text` cut at every `sep`.
+std::vector<std::string> split(std::string_view text, char sep) {
+    std::vector<std::string> out;
+    for (std::size_t begin = 0;; ) {
+        const std::size_t end = std::min(text.find(sep, begin), text.size());
+        out.emplace_back(text.substr(begin, end - begin));
+        if (end == text.size()) return out;
+        begin = end + 1;
+    }
+}
+
+/// One script line, split on whitespace. A word starting with '#' opens a
+/// comment that runs to the end of the line.
 class Line {
 public:
-    Line(int number, const std::string& text) : number(number), in_(text) {}
-
-    /// Next token, or "" at the end of the line. A token starting with '#'
-    /// opens a comment that runs to the end of the line.
-    std::string next() {
-        std::string token;
-        in_ >> token;
-        if (!token.empty() && token.front() == '#') {
-            in_.setstate(std::ios::eofbit);
-            token.clear();
+    Line(int number, std::string_view text) : number(number) {
+        for (std::string& word : words(text)) {
+            if (word.front() == '#') break;
+            words_.push_back(std::move(word));
         }
-        return token;
     }
+
+    /// Next word, or "" at the end of the line.
+    std::string next() { return at_ < words_.size() ? words_[at_++] : ""; }
     /// Next token; the script fails when the line has none left.
     std::string need(const std::string& what) {
         std::string token = next();
@@ -128,7 +141,8 @@ public:
     const int number;
 
 private:
-    std::istringstream in_;
+    std::vector<std::string> words_;
+    std::size_t at_ = 0;
 };
 
 /// Splits a "key=value" option.
@@ -138,151 +152,86 @@ std::pair<std::string, std::string> split_option(int line, const std::string& op
     return {opt.substr(0, eq), opt.substr(eq + 1)};
 }
 
+/// "A-B" with 1 <= A <= B.
+std::pair<std::uint64_t, std::uint64_t> parse_range(int line, const std::string& text) {
+    const std::size_t dash = text.find('-');
+    if (dash == std::string::npos) fail(line, "bad range '" + text + "' (use A-B)");
+    const auto first = parse_number<std::uint64_t>(line, text.substr(0, dash), "range start", 1);
+    return {first, parse_number<std::uint64_t>(line, text.substr(dash + 1), "range end", first)};
+}
+
 double ms(sim::Time t) { return static_cast<double>(t) / sim::kMillisecond; }
 
-/// Everything one script run owns. Declaration order is teardown order in
-/// reverse: workloads, then the stack, then observers, then the network.
-struct World {
-    std::FILE* out;
-    topo::Network net;
-    std::unique_ptr<topo::TopologyBuilder> topo;
-    std::unique_ptr<workload::TransitStubNetwork> generated;
-    std::unique_ptr<unicast::OracleRouting> routing;
-    std::unique_ptr<fault::FaultInjector> faults;
-    std::unique_ptr<trace::PacketTracer> tracer;
-    std::unique_ptr<provenance::Recorder> recorder;
-    std::unique_ptr<telemetry::TreeMonitor> monitor;
-    std::unique_ptr<check::Watchdog> watchdog;
-    std::unique_ptr<StackBase> stack;
-    PimSmStack* pim_sm = nullptr; // set-up only: RPs, BSR candidates, SPT policy
-    CbtStack* cbt = nullptr;      // set-up only: cores
-    std::vector<std::unique_ptr<workload::HostBank>> banks;
-    std::unique_ptr<workload::ChurnEngine> churn;
-    std::vector<std::unique_ptr<workload::OnOffSender>> senders;
+void dump_metrics(World& w, const std::string& format) {
+    std::fprintf(w.out, "--- metrics at t=%.1fms (%s) ---\n", ms(w.net.simulator().now()),
+                 format.c_str());
+    w.net.telemetry().refresh_timer_gauges();
+    if (prof::enabled()) {
+        prof::publish_profile(prof::snapshot(), w.net.telemetry().registry());
+    }
+    const telemetry::Registry& reg = w.net.telemetry().registry();
+    std::fprintf(w.out, "%s", format == "json" ? telemetry::to_json(reg).c_str()
+                                               : telemetry::to_prometheus(reg).c_str());
+    if (format == "json") std::fprintf(w.out, "\n");
+}
 
-    explicit World(std::FILE* o) : out(o) {}
+void dump_events(World& w) {
+    std::fprintf(w.out, "--- event log at t=%.1fms ---\n%s", ms(w.net.simulator().now()),
+                 w.net.telemetry().events().dump().c_str());
+}
 
-    // Name lookups that work for both topology sources (the named block and
-    // the transit-stub generator).
-    [[nodiscard]] topo::Router* find_router(const std::string& name) {
-        for (const auto& r : net.routers()) {
-            if (r->name() == name) return r.get();
+void take_snapshot(World& w, bool print) {
+    telemetry::Hub& hub = w.net.telemetry();
+    telemetry::MribSnapshot snap = w.stack->capture_mrib();
+    if (print) {
+        std::fprintf(w.out, "--- mrib snapshot at t=%.1fms (%zu entries) ---\n", ms(snap.at),
+                     snap.entry_count());
+        const telemetry::MribSnapshot* prev = hub.last_snapshot();
+        if (prev == nullptr) {
+            std::fprintf(w.out, "%s", snap.to_text().c_str());
+        } else {
+            const telemetry::MribDiff d = telemetry::diff(*prev, snap);
+            std::fprintf(w.out, "%s", d.empty() ? "  (no structural change)\n"
+                                                : d.to_text().c_str());
         }
-        return nullptr;
     }
-    [[nodiscard]] topo::Router& router_ref(const std::string& name) {
-        topo::Router* r = find_router(name);
-        if (r == nullptr) throw std::runtime_error("unknown router '" + name + "'");
-        return *r;
-    }
-    [[nodiscard]] topo::Host& host_ref(const std::string& name) {
-        for (const auto& h : net.hosts()) {
-            if (h->name() == name) return *h;
-        }
-        throw std::runtime_error("unknown host '" + name + "'");
-    }
-    [[nodiscard]] topo::Segment& lan_ref(const std::string& name) {
-        if (topo) return topo->lan(name);
-        // Generated bank LANs are addressable as lan0..lanN-1.
-        std::size_t i = 0;
-        const char* end = name.data() + name.size();
-        if (name.rfind("lan", 0) == 0 &&
-            std::from_chars(name.data() + 3, end, i).ptr == end && name.size() > 3 &&
-            i < generated->lans.size()) {
-            return *generated->lans[i];
-        }
-        throw std::runtime_error("unknown lan '" + name + "'");
-    }
-    [[nodiscard]] topo::Segment& link_ref(const std::string& a, const std::string& b) {
-        topo::Segment* seg = net.find_link(router_ref(a), router_ref(b));
-        if (seg == nullptr) {
-            throw std::runtime_error("no link between '" + a + "' and '" + b + "'");
-        }
-        return *seg;
-    }
-    /// `router`'s interface on the link to neighbour router `toward`, or on
-    /// the LAN named `toward`.
-    [[nodiscard]] int ifindex_toward(const std::string& router, const std::string& toward) {
-        topo::Segment& seg =
-            find_router(toward) != nullptr ? link_ref(router, toward) : lan_ref(toward);
-        const std::optional<int> ifindex = router_ref(router).ifindex_on(seg);
-        if (!ifindex) throw std::runtime_error(router + " is not on " + toward);
-        return *ifindex;
-    }
+    hub.store_snapshot(std::move(snap));
+}
 
-    void dump_metrics(const std::string& format) {
-        std::fprintf(out, "--- metrics at t=%.1fms (%s) ---\n", ms(net.simulator().now()),
-                     format.c_str());
-        net.telemetry().refresh_timer_gauges();
-        if (prof::enabled()) {
-            prof::publish_profile(prof::snapshot(), net.telemetry().registry());
-        }
-        const telemetry::Registry& reg = net.telemetry().registry();
-        std::fprintf(out, "%s", format == "json" ? telemetry::to_json(reg).c_str()
-                                                 : telemetry::to_prometheus(reg).c_str());
-        if (format == "json") std::fprintf(out, "\n");
+void mtrace(World& w, const std::string& src_host, const std::string& dst_host,
+            net::GroupAddress group) {
+    std::fprintf(w.out, "--- mtrace %s -> %s group %s at t=%.1fms ---\n", src_host.c_str(),
+                 dst_host.c_str(), group.to_string().c_str(), ms(w.net.simulator().now()));
+    if (!w.recorder) {
+        std::fprintf(w.out, "  (provenance off; add 'provenance on' to the script)\n");
+        return;
     }
+    const provenance::Recorder::TraceResult result =
+        w.recorder->trace(w.host_ref(src_host).address(), group.address(), dst_host);
+    std::fprintf(w.out, "%s", w.recorder->format_trace(result).c_str());
+}
 
-    void dump_events() {
-        std::fprintf(out, "--- event log at t=%.1fms ---\n%s", ms(net.simulator().now()),
-                     net.telemetry().events().dump().c_str());
+void dump_provenance(World& w) {
+    std::fprintf(w.out, "--- provenance dump at t=%.1fms ---\n", ms(w.net.simulator().now()));
+    if (!w.recorder) {
+        std::fprintf(w.out, "  (provenance off; add 'provenance on' to the script)\n");
+        return;
     }
+    std::fprintf(w.out, "%s\n", w.recorder->dump_json().c_str());
+    const std::string drops = w.recorder->drop_summary();
+    if (!drops.empty()) std::fprintf(w.out, "drops: %s\n", drops.c_str());
+}
 
-    void take_snapshot(bool print) {
-        telemetry::Hub& hub = net.telemetry();
-        telemetry::MribSnapshot snap = stack->capture_mrib();
-        const telemetry::MribSnapshot* prev =
-            hub.snapshots().empty() ? nullptr : &hub.snapshots().back();
-        if (print) {
-            std::fprintf(out, "--- mrib snapshot at t=%.1fms (%zu entries) ---\n",
-                         ms(snap.at), snap.entry_count());
-            if (prev == nullptr) {
-                std::fprintf(out, "%s", snap.to_text().c_str());
-            } else {
-                const telemetry::MribDiff d = telemetry::diff(*prev, snap);
-                std::fprintf(out, "%s", d.empty() ? "  (no structural change)\n"
-                                                  : d.to_text().c_str());
-            }
-        }
-        hub.store_snapshot(std::move(snap));
-    }
-
-    void mtrace(const std::string& src_host, const std::string& dst_host,
-                net::GroupAddress group) {
-        std::fprintf(out, "--- mtrace %s -> %s group %s at t=%.1fms ---\n",
-                     src_host.c_str(), dst_host.c_str(), group.to_string().c_str(),
-                     ms(net.simulator().now()));
-        if (!recorder) {
-            std::fprintf(out, "  (provenance off; add 'provenance on' to the script)\n");
-            return;
-        }
-        const provenance::Recorder::TraceResult result =
-            recorder->trace(host_ref(src_host).address(), group.address(), dst_host);
-        std::fprintf(out, "%s", recorder->format_trace(result).c_str());
-    }
-
-    void dump_provenance() {
-        std::fprintf(out, "--- provenance dump at t=%.1fms ---\n", ms(net.simulator().now()));
-        if (!recorder) {
-            std::fprintf(out, "  (provenance off; add 'provenance on' to the script)\n");
-            return;
-        }
-        std::fprintf(out, "%s\n", recorder->dump_json().c_str());
-        const std::string drops = recorder->drop_summary();
-        if (!drops.empty()) std::fprintf(out, "drops: %s\n", drops.c_str());
-    }
-
-    /// Every router's MRIB entries, through the one capture all five
-    /// backends implement.
-    void dump_state() {
-        std::fprintf(out, "--- state at t=%.1fms ---\n", ms(net.simulator().now()));
-        for (const telemetry::RouterMrib& mrib : stack->capture_mrib().routers) {
-            for (const telemetry::EntrySnapshot& e : mrib.entries) {
-                std::fprintf(out, "  %-10s %s\n", mrib.router.c_str(), e.describe().c_str());
-            }
+/// Every router's MRIB entries, through the one capture all five backends
+/// implement.
+void dump_state(World& w) {
+    std::fprintf(w.out, "--- state at t=%.1fms ---\n", ms(w.net.simulator().now()));
+    for (const telemetry::RouterMrib& mrib : w.stack->capture_mrib().routers) {
+        for (const telemetry::EntrySnapshot& e : mrib.entries) {
+            std::fprintf(w.out, "  %-10s %s\n", mrib.router.c_str(), e.describe().c_str());
         }
     }
-};
+}
 
 /// An expectation's check: "" when it holds, otherwise what the run showed.
 using Check = std::function<std::string(World&)>;
@@ -304,22 +253,35 @@ struct CountBound {
     }
 };
 
-class Script {
+struct TransitStubSpec {
+    graph::TransitStubOptions opts;
+    workload::MaterializeOptions mat;
+    std::uint64_t graph_seed = 1;
+};
+
+} // namespace
+
+class Script::Impl {
 public:
-    explicit Script(std::FILE* out) : w_(out) {
-        config_.igmp.query_interval = 10 * sim::kSecond;
-        config_.igmp.membership_timeout = 25 * sim::kSecond;
-        config_ = config_.scaled(0.01);
-    }
-    ~Script() {
+    explicit Impl(std::FILE* out) : w_(out), config_(StackConfig{}.scaled(0.01)) {}
+    ~Impl() {
         // The profiler's time source points at this run's simulator.
         if (profiling()) prof::set_time_source(nullptr, nullptr);
     }
-    Script(const Script&) = delete;
-    Script& operator=(const Script&) = delete;
 
     void parse(const std::string& text);
     ScriptResult run();
+    /// A world with only its topology built.
+    [[nodiscard]] std::unique_ptr<World> make_world() const;
+    void build(World& w, const std::string& mutation) const;
+    void schedule(World& w, bool expectations) const;
+
+    World w_; // the world names are checked against while parsing
+    sim::Time run_until_ = 0;
+    std::vector<FaultSlot> fault_slots_;
+    std::vector<Oracle> oracles_;
+    std::vector<std::pair<std::string, net::GroupAddress>> joins_;
+    std::string sender_;
 
 private:
     struct PendingRp {
@@ -343,24 +305,34 @@ private:
     struct Event {
         sim::Time at;
         std::function<void(World&)> action;
+        /// Runs while the events are scheduled and queues its own work from
+        /// `at` on (send streams), as a program calling Host::send_stream
+        /// up front would.
+        bool queues_itself = false;
+        bool expectation = false;
     };
 
     void directive(Line& l, const std::string& word);
     void transit_stub(Line& l);
     void workload(Line& l);
     void event(Line& l, sim::Time at, const std::string& verb);
+    [[nodiscard]] Event action(Line& l, sim::Time at, const std::string& verb);
+    void fault_slot(Line& l);
+    [[nodiscard]] FaultCandidate fault_candidate(int line, sim::Time at, const std::string& text);
+    void oracle(Line& l);
     void expect(Line& l, sim::Time at);
+    void make_topology(World& w) const;
     void need_topology(int line, const std::string& what) const {
         if (!topology_done_) fail(line, "'" + what + "' before topology block");
     }
     [[nodiscard]] bool profiling() const { return want_profile_ || !profile_path_.empty(); }
-    void build();
+    void snapshot_tick(World& w) const;
     void report();
 
-    World w_;
     StackConfig config_;
     std::string protocol_ = "pim-sm";
     std::string topo_spec_;
+    std::optional<TransitStubSpec> transit_stub_;
     bool in_topology_ = false;
     bool topology_done_ = false;
     std::vector<PendingRp> rps_;
@@ -385,17 +357,16 @@ private:
     std::size_t profile_capacity_ = 0; // 0: keep the profiler's default
     std::string profile_path_;
     sim::Time snapshot_every_ = 0;
-    sim::Time run_until_ = 0;
     std::vector<Event> events_;
     std::vector<Expectation> expectations_;
     std::vector<std::string> failures_;
 };
 
-void Script::parse(const std::string& text) {
-    std::istringstream input(text);
-    std::string raw;
+void Script::Impl::parse(const std::string& text) {
+    const std::vector<std::string> lines = split(text, '\n');
     int line = 0;
-    while (std::getline(input, raw)) {
+    for (const std::string& raw : lines) {
+        if (&raw == &lines.back() && raw.empty()) break; // text ended in a newline
         ++line;
         Line l(line, raw);
         const std::string word = l.next();
@@ -407,10 +378,7 @@ void Script::parse(const std::string& text) {
                 }
                 in_topology_ = false;
                 topology_done_ = true;
-                // The spec is padded with one newline per script line before
-                // the block, so the builder's "line N:" errors are script lines.
-                w_.topo = std::make_unique<topo::TopologyBuilder>(
-                    topo::TopologyBuilder::parse(w_.net, topo_spec_));
+                make_topology(w_);
                 l.done();
             } else if (!word.empty()) {
                 directive(l, word);
@@ -426,12 +394,19 @@ void Script::parse(const std::string& text) {
     if (in_topology_) fail(line, "topology block has no 'end'");
     if (!topology_done_) fail(line, "missing topology block");
     if (run_until_ == 0) fail(line, "missing 'run' directive");
+    for (const Oracle& o : oracles_) {
+        if (o.name == "delivery" && sender_.empty()) fail(line, "oracle delivery needs a send");
+        if ((o.name == "exactly-one-bsr" || o.name == "rp-set-agreement") &&
+            protocol_ != "pim-sm") {
+            fail(line, "oracle " + o.name + " needs protocol pim-sm");
+        }
+    }
     if (no_violation_line_ != 0 && !want_watchdog_) {
         fail(no_violation_line_, "'expect no-violation' needs 'watchdog on'");
     }
 }
 
-void Script::directive(Line& l, const std::string& word) {
+void Script::Impl::directive(Line& l, const std::string& word) {
     const int line = l.number;
     if (word == "topology") {
         if (topology_done_) fail(line, "duplicate topology");
@@ -527,6 +502,12 @@ void Script::directive(Line& l, const std::string& word) {
         need_topology(line, word);
         const sim::Time at = l.time("event time");
         event(l, at, l.need("event"));
+    } else if (word == "fault-slot") {
+        need_topology(line, word);
+        fault_slot(l);
+    } else if (word == "oracle") {
+        need_topology(line, word);
+        oracle(l);
     } else if (word == "run") {
         run_until_ = l.time("run duration");
         if (run_until_ == 0) fail(line, "run needs a positive duration");
@@ -535,7 +516,7 @@ void Script::directive(Line& l, const std::string& word) {
     }
 }
 
-void Script::transit_stub(Line& l) {
+void Script::Impl::transit_stub(Line& l) {
     graph::TransitStubOptions opts;
     opts.transit_domains = 2;
     opts.transit_nodes = 3;
@@ -563,13 +544,26 @@ void Script::transit_stub(Line& l) {
         }
     }
     if (graph_seed == 0) graph_seed = global_seed_ != 0 ? global_seed_ : 1;
-    std::mt19937 rng(static_cast<std::mt19937::result_type>(graph_seed));
-    w_.generated = std::make_unique<workload::TransitStubNetwork>(
-        workload::build_transit_stub(w_.net, opts, rng, mat));
+    transit_stub_ = TransitStubSpec{opts, mat, graph_seed};
+    make_topology(w_);
     topology_done_ = true;
 }
 
-void Script::workload(Line& l) {
+void Script::Impl::make_topology(World& w) const {
+    if (transit_stub_) {
+        std::mt19937 rng(static_cast<std::mt19937::result_type>(transit_stub_->graph_seed));
+        w.generated = std::make_unique<workload::TransitStubNetwork>(workload::build_transit_stub(
+            w.net, transit_stub_->opts, rng, transit_stub_->mat));
+    } else {
+        // The spec is padded with one newline per script line before the
+        // block, so the builder's "line N:" errors are script lines.
+        w.topo = std::make_unique<topo::TopologyBuilder>(
+            topo::TopologyBuilder::parse(w.net, topo_spec_));
+    }
+    if (global_seed_ != 0) w.net.set_seed(global_seed_);
+}
+
+void Script::Impl::workload(Line& l) {
     const int line = l.number;
     const std::string kind = l.need("workload kind");
     if (kind == "churn") {
@@ -654,11 +648,14 @@ void Script::workload(Line& l) {
     }
 }
 
-void Script::event(Line& l, sim::Time at, const std::string& verb) {
+void Script::Impl::event(Line& l, sim::Time at, const std::string& verb) {
+    if (verb == "expect") return expect(l, at);
+    events_.push_back(action(l, at, verb));
+}
+
+Script::Impl::Event Script::Impl::action(Line& l, sim::Time at, const std::string& verb) {
     const int line = l.number;
-    auto schedule = [&](std::function<void(World&)> action) {
-        events_.push_back({at, std::move(action)});
-    };
+    auto schedule = [at](std::function<void(World&)> act) { return Event{at, std::move(act)}; };
     if (verb == "join" || verb == "leave") {
         const std::string host = l.need("host");
         const net::GroupAddress g = l.group();
@@ -666,7 +663,8 @@ void Script::event(Line& l, sim::Time at, const std::string& verb) {
         // A member that leaves mid-stream misses packets on purpose.
         if (!join) loss_possible_ = true;
         (void)w_.host_ref(host);
-        schedule([host, g, join](World& w) {
+        if (join) joins_.emplace_back(host, g);
+        return schedule([host, g, join](World& w) {
             auto& agent = w.stack->host_agent(w.host_ref(host));
             if (join) {
                 agent.join(g);
@@ -691,16 +689,19 @@ void Script::event(Line& l, sim::Time at, const std::string& verb) {
         }
         if (interval > kMaxTime / count) fail(line, "send stream is longer than the time limit");
         (void)w_.host_ref(host);
-        schedule([host, g, count, interval](World& w) {
-            w.host_ref(host).send_stream(g, count, interval);
+        if (sender_.empty()) sender_ = host;
+        Event stream = schedule([host, g, count, interval, at](World& w) {
+            w.host_ref(host).send_stream(g, count, interval, at - w.net.simulator().now());
         });
+        stream.queues_itself = true;
+        return stream;
     } else if (verb == "fail-link" || verb == "heal-link") {
         const std::string a = l.need("router");
         const std::string b = l.need("router");
         const bool up = verb == "heal-link";
         if (!up) loss_possible_ = true;
         (void)w_.link_ref(a, b);
-        schedule([a, b, up](World& w) {
+        return schedule([a, b, up](World& w) {
             auto& link = w.link_ref(a, b);
             if (up) {
                 w.faults->restore_link(link);
@@ -713,7 +714,7 @@ void Script::event(Line& l, sim::Time at, const std::string& verb) {
         const bool crash = verb == "crash-router";
         if (crash) loss_possible_ = true;
         (void)w_.router_ref(name);
-        schedule([name, crash](World& w) {
+        return schedule([name, crash](World& w) {
             auto& router = w.router_ref(name);
             if (crash) {
                 w.faults->crash_router(router);
@@ -729,7 +730,7 @@ void Script::event(Line& l, sim::Time at, const std::string& verb) {
             l.count<double>("loss rate", 0.0, std::nextafter(1.0, 0.0));
         loss_possible_ = true;
         (void)(is_link ? w_.link_ref(a, b) : w_.lan_ref(a));
-        schedule([a, b, rate, is_link](World& w) {
+        return schedule([a, b, rate, is_link](World& w) {
             w.faults->set_loss(is_link ? w.link_ref(a, b) : w.lan_ref(a), rate);
         });
     } else if (verb == "partition") {
@@ -744,7 +745,7 @@ void Script::event(Line& l, sim::Time at, const std::string& verb) {
         for (std::size_t i = 0; i < names.size(); i += 2) {
             (void)w_.link_ref(names[i], names[i + 1]);
         }
-        schedule([names](World& w) {
+        return schedule([names](World& w) {
             std::vector<topo::Segment*> cut;
             for (std::size_t i = 0; i < names.size(); i += 2) {
                 cut.push_back(&w.link_ref(names[i], names[i + 1]));
@@ -752,38 +753,150 @@ void Script::event(Line& l, sim::Time at, const std::string& verb) {
             w.faults->partition(cut);
         });
     } else if (verb == "heal-partition") {
-        schedule([](World& w) { w.faults->heal_partition(); });
+        return schedule([](World& w) { w.faults->heal_partition(); });
     } else if (verb == "dump-state") {
-        schedule([](World& w) { w.dump_state(); });
+        return schedule([](World& w) { dump_state(w); });
     } else if (verb == "dump-metrics") {
         std::string format = l.next();
         if (format.empty()) format = "prom";
         if (format != "prom" && format != "json") fail(line, "dump-metrics takes prom|json");
-        schedule([format](World& w) { w.dump_metrics(format); });
+        return schedule([format](World& w) { dump_metrics(w, format); });
     } else if (verb == "dump-events") {
-        schedule([](World& w) { w.dump_events(); });
+        return schedule([](World& w) { dump_events(w); });
     } else if (verb == "snapshot") {
-        schedule([](World& w) { w.take_snapshot(/*print=*/true); });
+        return schedule([](World& w) { take_snapshot(w, /*print=*/true); });
     } else if (verb == "mtrace") {
         const std::string src = l.need("source host");
         const std::string dst = l.need("destination host");
         const net::GroupAddress g = l.group();
         (void)w_.host_ref(src);
         (void)w_.host_ref(dst);
-        schedule([src, dst, g](World& w) { w.mtrace(src, dst, g); });
+        return schedule([src, dst, g](World& w) { mtrace(w, src, dst, g); });
     } else if (verb == "dump-provenance") {
-        schedule([](World& w) { w.dump_provenance(); });
+        return schedule([](World& w) { dump_provenance(w); });
     } else if (verb == "profile") {
         const bool on = l.flag(verb);
-        schedule([on](World&) { prof::set_enabled(on); });
-    } else if (verb == "expect") {
-        expect(l, at);
-    } else {
-        fail(line, "unknown event '" + verb + "'");
+        return schedule([on](World&) { prof::set_enabled(on); });
     }
+    fail(line, "unknown event '" + verb + "'");
 }
 
-void Script::expect(Line& l, sim::Time at) {
+void Script::Impl::fault_slot(Line& l) {
+    FaultSlot slot{l.time("fault-slot time"), {}};
+    std::string rest;
+    for (std::string word = l.next(); !word.empty(); word = l.next()) rest += word + " ";
+    for (const std::string& text : split(rest, '|')) {
+        slot.candidates.push_back(fault_candidate(l.number, slot.at, text));
+    }
+    fault_slots_.push_back(std::move(slot));
+}
+
+FaultCandidate Script::Impl::fault_candidate(int line, sim::Time at, const std::string& text) {
+    std::vector<std::string> words = scenario::words(text);
+    FaultCandidate cand;
+    const auto for_word = std::find(words.begin(), words.end(), "for");
+    if (for_word != words.end()) {
+        if (words.end() - for_word != 2) fail(line, "'for' takes one duration");
+        cand.repair_after = parse_time(line, for_word[1]);
+        if (cand.repair_after == 0) fail(line, "'for' needs a positive duration");
+        words.erase(for_word, words.end());
+    }
+    if (words.empty()) fail(line, "missing fault candidate");
+    const std::string& verb = words.front();
+    const std::string undo = verb == "fail-link"      ? "heal-link"
+                             : verb == "crash-router" ? "restart-router"
+                             : verb == "partition"    ? "heal-partition"
+                                                      : "";
+    if (undo.empty() && verb != "loss-link" && verb != "loss-lan") {
+        fail(line, "fault-slot candidate '" + verb +
+                       "' is not a fault (fail-link|crash-router|partition|loss-link|loss-lan)");
+    }
+    for (const std::string& word : words) {
+        cand.label += (cand.label.empty() ? "" : "-") + word;
+        cand.fault += (cand.fault.empty() ? "" : " ") + word;
+        if (&word != &words.front() && w_.find_router(word) != nullptr) {
+            cand.routers.push_back(word);
+        }
+    }
+    // Parsed like `at` events, but never scheduled: pimsim runs the baseline.
+    const bool loss_possible = loss_possible_;
+    Line fault(line, cand.fault);
+    cand.inject = action(fault, at, fault.need("fault")).action;
+    fault.done();
+    if (cand.repair_after > 0) {
+        if (undo.empty()) fail(line, "'for' undoes fail-link, crash-router and partition");
+        cand.repair = verb == "partition" ? undo : undo + cand.fault.substr(verb.size());
+        Line repair(line, cand.repair);
+        cand.undo = action(repair, at, repair.need("repair")).action;
+    }
+    loss_possible_ = loss_possible;
+    return cand;
+}
+
+void Script::Impl::oracle(Line& l) {
+    const int line = l.number;
+    // Each oracle's arguments: positional ones (ROUTER... is one or more),
+    // then key=value options, all required.
+    static const std::map<std::string, std::string> kForms = {
+        {"delivery", "seqs=A-B steady=A-B"},
+        {"steady-redundancy", "steady=A-B crossings=N"},
+        {"steady-iif", "from=TIME"},
+        {"assert-winner", "LAN steady=A-B"},
+        {"rp-failover", "ROUTER... rp=ROUTER backup=ROUTER"},
+        {"bsr-rp-rehoming", "ROUTER... rp=ROUTER backup=ROUTER"},
+        {"exactly-one-bsr", ""},
+        {"rp-set-agreement", "GROUP"}};
+    Oracle o;
+    o.name = l.need("oracle");
+    const auto form = kForms.find(o.name);
+    if (form == kForms.end()) {
+        fail(line, "unknown oracle '" + o.name +
+                       "' (delivery|steady-redundancy|steady-iif|assert-winner|rp-failover|"
+                       "bsr-rp-rehoming|exactly-one-bsr|rp-set-agreement)");
+    }
+    std::set<std::string> keys;
+    for (std::string token = l.next(); !token.empty(); token = l.next()) {
+        if (token.find('=') == std::string::npos) {
+            o.args.push_back(token);
+            continue;
+        }
+        const auto [key, value] = split_option(line, token);
+        keys.insert(key);
+        if (key == "seqs" || key == "steady") {
+            (key == "seqs" ? o.seqs : o.steady) = parse_range(line, value);
+        } else if (key == "crossings") {
+            o.crossings = parse_number<int>(line, value, key, 1, 1'000'000);
+        } else if (key == "from") {
+            o.from = parse_time(line, value);
+        } else if (key == "rp" || key == "backup") {
+            (key == "rp" ? o.rp : o.backup) = w_.router_ref(value).name();
+        }
+    }
+    // The form's first word, when it is not an option, names its
+    // positional arguments.
+    std::string names;
+    std::set<std::string> want_keys;
+    for (const std::string& word : words(form->second)) {
+        if (word.find('=') == std::string::npos) {
+            names = word;
+        } else {
+            want_keys.insert(word.substr(0, word.find('=')));
+        }
+    }
+    if (keys != want_keys || (names == "ROUTER..." ? o.args.empty()
+                                                   : o.args.size() != (names.empty() ? 0 : 1))) {
+        fail(line, "oracle " + o.name + " takes " +
+                       (form->second.empty() ? "no arguments" : form->second));
+    }
+    for (const std::string& arg : o.args) {
+        if (names == "LAN") (void)w_.lan_ref(arg);
+        if (names == "GROUP") (void)parse_group(line, arg);
+        if (names == "ROUTER...") (void)w_.router_ref(arg);
+    }
+    oracles_.push_back(std::move(o));
+}
+
+void Script::Impl::expect(Line& l, sim::Time at) {
     const int line = l.number;
     const std::string what = l.need("expectation");
     std::string text = "expect " + what;
@@ -880,7 +993,8 @@ void Script::expect(Line& l, sim::Time at) {
     }
     const std::size_t index = expectations_.size();
     expectations_.push_back({line, text, std::move(check)});
-    events_.push_back({at, [this, index](World& w) {
+    events_.push_back({at,
+                       [this, index](World& w) {
                            Expectation& e = expectations_[index];
                            e.checked = true;
                            const std::string got = e.check(w);
@@ -888,11 +1002,11 @@ void Script::expect(Line& l, sim::Time at) {
                                failures_.push_back("line " + std::to_string(e.line) + ": " +
                                                    e.text + " got " + got);
                            }
-                       }});
+                       },
+                       /*queues_itself=*/false, /*expectation=*/true});
 }
 
-void Script::build() {
-    World& w = w_;
+void Script::Impl::build(World& w, const std::string& mutation) const {
     w.routing = std::make_unique<unicast::OracleRouting>(w.net);
     w.faults = std::make_unique<fault::FaultInjector>(w.net);
     if (want_trace_) w.tracer = std::make_unique<trace::PacketTracer>(w.net);
@@ -903,13 +1017,17 @@ void Script::build() {
                                                             prov_cfg);
         w.net.set_provenance(w.recorder.get());
     }
+    w.config = config_;
+    if (!check::apply_mutation(mutation, w.config)) {
+        throw std::runtime_error("unknown mutation '" + mutation + "'");
+    }
     auto resolve = [&w](const std::vector<std::string>& names) {
         std::vector<net::Ipv4Address> addrs;
         for (const auto& name : names) addrs.push_back(w.router_ref(name).router_id());
         return addrs;
     };
     if (protocol_ == "pim-sm") {
-        auto stack = std::make_unique<PimSmStack>(w.net, config_);
+        auto stack = std::make_unique<PimSmStack>(w.net, w.config);
         w.pim_sm = stack.get();
         w.stack = std::move(stack);
         w.pim_sm->set_spt_policy(policy_);
@@ -921,16 +1039,16 @@ void Script::build() {
             w.pim_sm->set_candidate_rp(w.router_ref(cand.router), cand.range, cand.priority);
         }
     } else if (protocol_ == "cbt") {
-        auto stack = std::make_unique<CbtStack>(w.net, config_);
+        auto stack = std::make_unique<CbtStack>(w.net, w.config);
         w.cbt = stack.get();
         w.stack = std::move(stack);
         for (const auto& rp : rps_) w.cbt->set_core(rp.group, resolve(rp.routers).front());
     } else if (protocol_ == "pim-dm") {
-        w.stack = std::make_unique<PimDmStack>(w.net, config_);
+        w.stack = std::make_unique<PimDmStack>(w.net, w.config);
     } else if (protocol_ == "dvmrp") {
-        w.stack = std::make_unique<DvmrpStack>(w.net, config_);
+        w.stack = std::make_unique<DvmrpStack>(w.net, w.config);
     } else {
-        w.stack = std::make_unique<MospfStack>(w.net, config_);
+        w.stack = std::make_unique<MospfStack>(w.net, w.config);
     }
     w.stack->wire_faults(*w.faults);
 
@@ -1006,7 +1124,34 @@ void Script::build() {
     }
 }
 
-ScriptResult Script::run() {
+std::unique_ptr<World> Script::Impl::make_world() const {
+    auto w = std::make_unique<World>(w_.out);
+    make_topology(*w);
+    return w;
+}
+
+void Script::Impl::schedule(World& w, bool expectations) const {
+    for (const Event& e : events_) {
+        if (e.expectation && !expectations) continue;
+        if (e.queues_itself) {
+            e.action(w);
+        } else {
+            w.net.simulator().schedule_at(e.at, [&w, &e] { e.action(w); });
+        }
+    }
+}
+
+/// One periodic snapshot that queues the next: a fine interval over a long
+/// run keeps one pending event, not one per snapshot.
+void Script::Impl::snapshot_tick(World& w) const {
+    take_snapshot(w, /*print=*/false);
+    const sim::Time next = w.net.simulator().now() + snapshot_every_;
+    if (next <= run_until_) {
+        w.net.simulator().schedule_at(next, [this, &w] { snapshot_tick(w); });
+    }
+}
+
+ScriptResult Script::Impl::run() {
     World& w = w_;
     w.net.telemetry().set_tracing(want_telemetry_);
     if (profiling()) {
@@ -1022,14 +1167,10 @@ ScriptResult Script::run() {
             &w.net.simulator());
         prof::set_enabled(want_profile_);
     }
-    build();
-    for (const Event& e : events_) {
-        w.net.simulator().schedule_at(e.at, [&w, &e] { e.action(w); });
-    }
-    if (snapshot_every_ > 0) {
-        for (sim::Time at = snapshot_every_; at <= run_until_; at += snapshot_every_) {
-            w.net.simulator().schedule_at(at, [&w] { w.take_snapshot(/*print=*/false); });
-        }
+    build(w, "");
+    schedule(w, /*expectations=*/true);
+    if (snapshot_every_ > 0 && snapshot_every_ <= run_until_) {
+        w.net.simulator().schedule_at(snapshot_every_, [this, &w] { snapshot_tick(w); });
     }
     w.net.run_for(run_until_);
     report();
@@ -1047,7 +1188,7 @@ ScriptResult Script::run() {
     return ScriptResult{expectations_.size(), failures_};
 }
 
-void Script::report() {
+void Script::Impl::report() {
     World& w = w_;
     std::FILE* out = w.out;
     if (w.tracer) {
@@ -1088,14 +1229,10 @@ void Script::report() {
                          ms(span.latency()));
         }
     }
-    if (w.net.telemetry().snapshots().size() > 1) {
-        const auto& snaps = w.net.telemetry().snapshots();
-        std::size_t changed = 0;
-        for (std::size_t i = 1; i < snaps.size(); ++i) {
-            if (!telemetry::diff(snaps[i - 1], snaps[i]).empty()) ++changed;
-        }
+    const telemetry::Hub& hub = w.net.telemetry();
+    if (hub.snapshot_count() > 1) {
         std::fprintf(out, "--- mrib snapshots: %zu taken, %zu with structural change ---\n",
-                     snaps.size(), changed);
+                     hub.snapshot_count(), hub.snapshot_changes());
     }
     if (!w.faults->events().empty()) {
         std::fprintf(out, "--- injected faults ---\n");
@@ -1151,12 +1288,79 @@ void Script::report() {
     }
 }
 
-} // namespace
+topo::Router* World::find_router(const std::string& name) const {
+    for (const auto& r : net.routers()) {
+        if (r->name() == name) return r.get();
+    }
+    return nullptr;
+}
+
+topo::Router& World::router_ref(const std::string& name) const {
+    topo::Router* r = find_router(name);
+    if (r == nullptr) throw std::runtime_error("unknown router '" + name + "'");
+    return *r;
+}
+
+topo::Host& World::host_ref(const std::string& name) const {
+    for (const auto& h : net.hosts()) {
+        if (h->name() == name) return *h;
+    }
+    throw std::runtime_error("unknown host '" + name + "'");
+}
+
+topo::Segment& World::lan_ref(const std::string& name) const {
+    if (topo) return topo->lan(name);
+    // Generated bank LANs are addressable as lan0..lanN-1.
+    std::size_t i = 0;
+    const char* end = name.data() + name.size();
+    if (name.rfind("lan", 0) == 0 &&
+        std::from_chars(name.data() + 3, end, i).ptr == end && name.size() > 3 &&
+        i < generated->lans.size()) {
+        return *generated->lans[i];
+    }
+    throw std::runtime_error("unknown lan '" + name + "'");
+}
+
+topo::Segment& World::link_ref(const std::string& a, const std::string& b) {
+    topo::Segment* seg = net.find_link(router_ref(a), router_ref(b));
+    if (seg == nullptr) throw std::runtime_error("no link between '" + a + "' and '" + b + "'");
+    return *seg;
+}
+
+int World::ifindex_toward(const std::string& router, const std::string& toward) {
+    topo::Segment& seg =
+        find_router(toward) != nullptr ? link_ref(router, toward) : lan_ref(toward);
+    const std::optional<int> ifindex = router_ref(router).ifindex_on(seg);
+    if (!ifindex) throw std::runtime_error(router + " is not on " + toward);
+    return *ifindex;
+}
+
+Script::Script(const std::string& text, std::FILE* out) : impl_(std::make_unique<Impl>(out)) {
+    impl_->parse(text);
+}
+Script::~Script() = default;
+
+ScriptResult Script::run() { return impl_->run(); }
+
+std::unique_ptr<World> Script::build(const std::string& mutation) const {
+    std::unique_ptr<World> w = impl_->make_world();
+    impl_->build(*w, mutation);
+    return w;
+}
+
+void Script::schedule(World& world) const { impl_->schedule(world, /*expectations=*/false); }
+
+const World& Script::parsed() const { return impl_->w_; }
+sim::Time Script::duration() const { return impl_->run_until_; }
+const std::vector<FaultSlot>& Script::fault_slots() const { return impl_->fault_slots_; }
+const std::vector<Oracle>& Script::oracles() const { return impl_->oracles_; }
+const std::vector<std::pair<std::string, net::GroupAddress>>& Script::joins() const {
+    return impl_->joins_;
+}
+const std::string& Script::sender() const { return impl_->sender_; }
 
 ScriptResult run_script(const std::string& text, std::FILE* out) {
-    Script script(out);
-    script.parse(text);
-    return script.run();
+    return Script(text, out).run();
 }
 
 } // namespace pimlib::scenario

@@ -2,8 +2,9 @@
 // run. A script holds a topology block (the topo::TopologyBuilder format)
 // or a generated transit-stub topology, a protocol selection, optional
 // observers and workloads, and a timeline of events and expectations.
-// `pimsim` runs one script; the checker emits its counterexamples as
-// scripts; examples/scenarios/*.pimsim are the paper's walkthroughs.
+// `pimsim` runs one script; the checker builds its worlds from scripts and
+// emits its counterexamples as scripts; examples/scenarios/*.pimsim are the
+// paper's walkthroughs and the checker's worlds.
 //
 // Format (one directive per line, '#' starts a comment to the end of the line):
 //
@@ -84,12 +85,45 @@
 //
 // iif=/oif= name a neighbour router (the point-to-point link to it) or a LAN.
 // An expectation the run never reaches counts as failed.
+//
+// Fault slots and oracles describe a world for the model checker (pimcheck,
+// src/check), which judges the oracles at the end of `run`. pimsim checks
+// them and runs the baseline, where no fault fires:
+//
+//     fault-slot 400ms fail-link A C for 350ms | crash-router E
+//                            # the checker may inject one candidate (a fault
+//                            #   verb; `for D` undoes it D later)
+//     oracle delivery seqs=1-18 steady=13-18   # joined hosts hear seqs 1-18
+//                            #   from the first sender, seqs 13-18 once each
+//     oracle steady-redundancy steady=13-18 crossings=7  # per steady seq
+//     oracle steady-iif from=1550ms            # no iif-check drop from then on
+//     oracle assert-winner dlan steady=13-18   # one crossing of dlan per seq
+//     oracle rp-failover M N rp=R1 backup=R2   # M's and N's (*,G) root at R1,
+//                            #   or at R2 once R1 has crashed
+//     oracle bsr-rp-rehoming M N rp=R1 backup=R2   # the same, BSR-learned RPs
+//     oracle exactly-one-bsr                   # live routers agree on one BSR
+//     oracle rp-set-agreement 224.9.9.9        # ... and derive one RP list
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <cstdio>
+#include <functional>
+#include <memory>
+#include <optional>
 #include <string>
+#include <utility>
 #include <vector>
+
+#include "check/watchdog.hpp"
+#include "provenance/provenance.hpp"
+#include "scenario/stacks.hpp"
+#include "telemetry/tree_monitor.hpp"
+#include "topo/builder.hpp"
+#include "trace/tracer.hpp"
+#include "unicast/oracle_routing.hpp"
+#include "workload/churn.hpp"
+#include "workload/topology.hpp"
 
 namespace pimlib::scenario {
 
@@ -99,6 +133,107 @@ struct ScriptResult {
     std::vector<std::string> failures;
 
     [[nodiscard]] bool ok() const { return failures.empty(); }
+};
+
+/// Everything one built script owns. Declaration order is teardown order in
+/// reverse: workloads, then the stack, then observers, then the network.
+struct World {
+    explicit World(std::FILE* o) : out(o) {}
+
+    std::FILE* out;
+    topo::Network net;
+    std::unique_ptr<topo::TopologyBuilder> topo;
+    std::unique_ptr<workload::TransitStubNetwork> generated;
+    std::unique_ptr<unicast::OracleRouting> routing;
+    std::unique_ptr<fault::FaultInjector> faults;
+    std::unique_ptr<trace::PacketTracer> tracer;
+    std::unique_ptr<provenance::Recorder> recorder;
+    std::unique_ptr<telemetry::TreeMonitor> monitor;
+    std::unique_ptr<check::Watchdog> watchdog;
+    StackConfig config; // the stack's, mutations included
+    std::unique_ptr<StackBase> stack;
+    PimSmStack* pim_sm = nullptr; // set when the protocol is pim-sm
+    CbtStack* cbt = nullptr;      // set when the protocol is cbt
+    std::vector<std::unique_ptr<workload::HostBank>> banks;
+    std::unique_ptr<workload::ChurnEngine> churn;
+    std::vector<std::unique_ptr<workload::OnOffSender>> senders;
+
+    // Name lookups for both topology sources (the named block and the
+    // transit-stub generator); unknown names throw std::runtime_error.
+    [[nodiscard]] topo::Router* find_router(const std::string& name) const;
+    [[nodiscard]] topo::Router& router_ref(const std::string& name) const;
+    [[nodiscard]] topo::Host& host_ref(const std::string& name) const;
+    [[nodiscard]] topo::Segment& lan_ref(const std::string& name) const;
+    [[nodiscard]] topo::Segment& link_ref(const std::string& a, const std::string& b);
+    /// `router`'s interface on the link to neighbour router `toward`, or on
+    /// the LAN named `toward`.
+    [[nodiscard]] int ifindex_toward(const std::string& router, const std::string& toward);
+};
+
+/// One fault a `fault-slot` may inject.
+struct FaultCandidate {
+    std::string label;  // verb and arguments joined by '-': "fail-link-A-C"
+    std::string fault;  // as an event: "fail-link A C"
+    std::string repair; // the event that undoes it ("heal-link A C"), or ""
+    sim::Time repair_after = 0;
+    std::vector<std::string> routers; // the routers the fault names
+    std::function<void(World&)> inject;
+    std::function<void(World&)> undo; // empty when repair is ""
+};
+
+struct FaultSlot {
+    sim::Time at = 0;
+    std::vector<FaultCandidate> candidates;
+};
+
+/// One `oracle` line. Fields the oracle does not take keep their defaults.
+struct Oracle {
+    std::string name;
+    std::vector<std::string> args; // routers, a LAN or a group, as written
+    std::pair<std::uint64_t, std::uint64_t> seqs, steady; // seqs=A-B steady=A-B
+    int crossings = 0;
+    sim::Time from = 0;
+    std::string rp, backup;
+};
+
+/// A parsed script. pimsim runs it once (run); the checker builds a fresh
+/// world from it for every branch it explores (build, then schedule), from
+/// any number of threads at once.
+class Script {
+public:
+    /// Parses `text`, narrating later runs to `out`. Throws
+    /// std::runtime_error("line N: …") when the script is malformed.
+    explicit Script(const std::string& text, std::FILE* out = stdout);
+    ~Script();
+    Script(const Script&) = delete;
+    Script& operator=(const Script&) = delete;
+
+    /// Runs the world for the script's duration with its expectations and
+    /// observers, narrating to `out`. Once per Script.
+    ScriptResult run();
+
+    /// A fresh world: topology, unicast routing, fault injector, the
+    /// script's observers and its stack, with `mutation` (a
+    /// check::known_mutations() name, or "") on top of the script's own.
+    /// Nothing is scheduled yet.
+    [[nodiscard]] std::unique_ptr<World> build(const std::string& mutation) const;
+    /// Schedules the script's timed events, but not its expectations.
+    void schedule(World& world) const;
+
+    /// The world the script's names were checked against while parsing.
+    [[nodiscard]] const World& parsed() const;
+    /// The `run` duration.
+    [[nodiscard]] sim::Time duration() const;
+    [[nodiscard]] const std::vector<FaultSlot>& fault_slots() const;
+    [[nodiscard]] const std::vector<Oracle>& oracles() const;
+    /// (host, group) of every `join` event, in script order.
+    [[nodiscard]] const std::vector<std::pair<std::string, net::GroupAddress>>& joins() const;
+    /// The host of the first `send` event, or "" when nothing is sent.
+    [[nodiscard]] const std::string& sender() const;
+
+private:
+    class Impl;
+    std::unique_ptr<Impl> impl_;
 };
 
 /// Parses and runs one script, narrating the run to `out`. Throws

@@ -78,7 +78,9 @@ void Hub::store_snapshot(MribSnapshot snapshot) {
                    "Forwarding-cache entries per router at last snapshot")
             .set(static_cast<double>(r.entries.size()));
     }
-    snapshots_.push_back(std::move(snapshot));
+    if (snapshot_count_ > 0 && !diff(last_snapshot_, snapshot).empty()) ++snapshot_changes_;
+    ++snapshot_count_;
+    last_snapshot_ = std::move(snapshot);
 }
 
 } // namespace pimlib::telemetry

@@ -67,12 +67,18 @@ public:
     /// is formatted only past that exit.
     void on_data_delivered(const std::string& host, net::GroupAddress group);
 
-    /// Stores a snapshot (filled in by the caller; see
-    /// StackBase::capture_mrib) and updates per-router entry-count gauges.
+    /// Keeps a snapshot (filled in by the caller; see
+    /// StackBase::capture_mrib) as the latest, counts it, notes whether it
+    /// differs structurally from the one before, and updates per-router
+    /// entry-count gauges. Earlier snapshots are not kept.
     void store_snapshot(MribSnapshot snapshot);
-    [[nodiscard]] const std::vector<MribSnapshot>& snapshots() const {
-        return snapshots_;
+    /// The latest stored snapshot, or nullptr before the first.
+    [[nodiscard]] const MribSnapshot* last_snapshot() const {
+        return snapshot_count_ > 0 ? &last_snapshot_ : nullptr;
     }
+    [[nodiscard]] std::size_t snapshot_count() const { return snapshot_count_; }
+    /// Stored snapshots that differ structurally from the one stored before.
+    [[nodiscard]] std::size_t snapshot_changes() const { return snapshot_changes_; }
 
     [[nodiscard]] sim::Time now() const { return clock_->now(); }
 
@@ -89,7 +95,9 @@ private:
     EventLog events_;
     SpanTracker spans_;
     bool tracing_ = false;
-    std::vector<MribSnapshot> snapshots_;
+    MribSnapshot last_snapshot_;
+    std::size_t snapshot_count_ = 0;
+    std::size_t snapshot_changes_ = 0;
     // Hot-path cache: event-counter pointer per (type, protocol).
     std::map<std::pair<int, std::string>, Counter*> event_counters_;
 };

@@ -1,8 +1,9 @@
 #include "topo/builder.hpp"
 
+#include <algorithm>
 #include <charconv>
-#include <sstream>
 #include <stdexcept>
+#include <string_view>
 #include <vector>
 
 namespace pimlib::topo {
@@ -13,13 +14,17 @@ namespace {
     throw std::runtime_error("line " + std::to_string(line) + ": " + message);
 }
 
-std::vector<std::string> tokenize(const std::string& line) {
+/// The words of `line` before a '#' comment. (Plain string scanning: the
+/// checker builds a topology per explored branch.)
+std::vector<std::string> tokenize(std::string_view line) {
+    constexpr std::string_view kSpace = " \t\r\v\f";
     std::vector<std::string> tokens;
-    std::istringstream stream(line);
-    std::string token;
-    while (stream >> token) {
-        if (token.front() == '#') break;
-        tokens.push_back(token);
+    for (std::size_t i = line.find_first_not_of(kSpace); i != std::string_view::npos;
+         i = line.find_first_not_of(kSpace, i)) {
+        const std::size_t end = std::min(line.find_first_of(kSpace, i), line.size());
+        if (line[i] == '#') break;
+        tokens.emplace_back(line.substr(i, end - i));
+        i = end;
     }
     return tokens;
 }
@@ -71,12 +76,12 @@ LinkOptions parse_link_options(int line, const std::vector<std::string>& tokens,
 
 TopologyBuilder TopologyBuilder::parse(Network& network, std::string_view spec) {
     TopologyBuilder b(network);
-    std::istringstream input{std::string(spec)};
-    std::string raw;
     int line = 0;
-    while (std::getline(input, raw)) {
+    for (std::size_t begin = 0; begin < spec.size();) {
+        const std::size_t end = std::min(spec.find('\n', begin), spec.size());
+        const auto tokens = tokenize(spec.substr(begin, end - begin));
+        begin = end + 1;
         ++line;
-        const auto tokens = tokenize(raw);
         if (tokens.empty()) continue;
         const std::string& directive = tokens.front();
 

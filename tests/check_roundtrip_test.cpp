@@ -173,6 +173,19 @@ TEST(CounterexampleRoundTrip, PimsimParserRejectsGarbage) {
               "line 6: unexpected 'spt'");
     EXPECT_EQ(script_error(topology + "at 1ms expect no-violation\nrun 1s\n"),
               "line 6: 'expect no-violation' needs 'watchdog on'");
+    // The checker's declarations are checked too, although pimsim runs the
+    // baseline without them.
+    EXPECT_EQ(script_error(topology + "oracle delivery seqs=1-3\nrun 1s\n"),
+              "line 6: oracle delivery takes seqs=A-B steady=A-B");
+    EXPECT_EQ(script_error(topology + "oracle delivery seqs=1-3 steady=2-3\nrun 1s\n"),
+              "line 7: oracle delivery needs a send");
+    EXPECT_EQ(script_error(topology + "fault-slot 1ms join h 224.1.1.1\nrun 1s\n"),
+              "line 6: fault-slot candidate 'join' is not a fault "
+              "(fail-link|crash-router|partition|loss-link|loss-lan)");
+    EXPECT_EQ(script_error(topology + "fault-slot 1ms crash-router A |\nrun 1s\n"),
+              "line 6: missing fault candidate");
+    EXPECT_EQ(script_error(topology + "fault-slot 1ms loss-lan lan0 0.5 for 1ms\nrun 1s\n"),
+              "line 6: 'for' undoes fail-link, crash-router and partition");
 }
 
 } // namespace

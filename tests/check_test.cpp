@@ -5,12 +5,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
+#include <map>
 #include <random>
 #include <set>
 #include <string>
 
 #include "check/backward.hpp"
 #include "check/explorer.hpp"
+#include "scenario/script.hpp"
 #include "telemetry/exporters.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/snapshot.hpp"
@@ -98,7 +101,7 @@ TEST(CheckScenario, MutationsFailTheTriggeredBranch) {
         // fragile RP holdtime) additionally need a specific frame lost;
         // force the documented trigger — the explorer tests below cover
         // finding it unaided.
-        cfg.forced_fault = forced_fault_for_mutation(mutation);
+        cfg.forced_fault = trigger_for_mutation(mutation).fault;
         cfg.forced_loss = trigger_for_mutation(mutation).losses;
         const RunResult result =
             run_scenario(scenario_for_mutation(mutation), cfg);
@@ -136,6 +139,50 @@ TEST(CheckScenario, RpFailoverRehomesToAlternate) {
                                                   crashed.final_mrib);
     EXPECT_FALSE(d.empty());
     EXPECT_NE(calm.final_mrib.hash(), crashed.final_mrib.hash());
+}
+
+TEST(CheckScenario, EveryFaultCandidateReplaysAsAScript) {
+    // Each world's fault candidates, in slot order, and the `at` lines the
+    // counterexample script must carry when the first slot fires one.
+    const std::map<std::string, std::vector<std::string>> want = {
+        {"walkthrough",
+         {"at 400ms fail-link A C\nat 750ms heal-link A C\n",
+          "at 400ms fail-link E B\nat 750ms heal-link E B\n",
+          "at 400ms crash-router E\nat 750ms restart-router E\n",
+          "at 400ms crash-router C\nat 750ms restart-router C\n"}},
+        {"rp-failover", {"at 500ms crash-router R1\n"}},
+        {"lan-assert", {"at 400ms crash-router U2\nat 750ms restart-router U2\n"}},
+        {"bsr-failover", {"at 500ms crash-router R1\n", "at 500ms crash-router B\n"}},
+    };
+    std::size_t replayed = 0;
+    for (const std::string& world : scenario_names()) {
+        ASSERT_TRUE(want.contains(world)) << world;
+        const std::vector<std::string>& lines = want.at(world);
+        EXPECT_EQ(scenario_info(world).fault_candidates.size(), lines.size()) << world;
+        const RunResult baseline = run_scenario(world, RunConfig{});
+        const auto slot = std::find_if(baseline.trace.begin(), baseline.trace.end(),
+                                       [](const ChoiceRec& rec) {
+                                           return rec.point.kind ==
+                                                  sim::ChoicePoint::Kind::kFault;
+                                       });
+        ASSERT_NE(slot, baseline.trace.end()) << world;
+        ASSERT_EQ(slot->alternatives, lines.size() + 1) << world;
+        const auto index = static_cast<std::uint32_t>(slot - baseline.trace.begin());
+        for (std::uint32_t pick = 1; pick <= lines.size(); ++pick) {
+            RunConfig cfg;
+            cfg.choices = {Pick{index, pick}};
+            const RunResult result = run_scenario(world, cfg);
+            ASSERT_TRUE(result.choices_applied) << world << " candidate " << pick;
+            const std::string script = replay_script(world, "", result);
+            EXPECT_NE(script.find(lines[pick - 1]), std::string::npos)
+                << world << " candidate " << pick << ":\n" << script;
+            std::FILE* sink = std::tmpfile();
+            EXPECT_NO_THROW((void)scenario::run_script(script, sink)) << script;
+            std::fclose(sink);
+            ++replayed;
+        }
+    }
+    EXPECT_EQ(replayed, 8u);
 }
 
 TEST(CheckExplorer, MutationGateCatchesSeededBugs) {

@@ -419,26 +419,57 @@ TEST(Hub, MribSnapshotsDiffAcrossJoin) {
     Fig3Topology topo;
     scenario::PimSmStack stack(topo.net, fast_config());
     stack.set_rp(kGroup, {topo.c->router_id()});
+    telemetry::Hub& hub = topo.net.telemetry();
+    EXPECT_EQ(hub.last_snapshot(), nullptr);
 
     topo.net.run_for(200 * sim::kMillisecond);
-    topo.net.telemetry().store_snapshot(stack.capture_mrib());
+    hub.store_snapshot(stack.capture_mrib());
+    const telemetry::MribSnapshot before = *hub.last_snapshot();
     stack.host_agent(*topo.receiver).join(kGroup);
     topo.net.run_for(300 * sim::kMillisecond);
-    topo.net.telemetry().store_snapshot(stack.capture_mrib());
+    hub.store_snapshot(stack.capture_mrib());
 
-    const auto& snaps = topo.net.telemetry().snapshots();
-    ASSERT_EQ(snaps.size(), 2u);
-    EXPECT_EQ(snaps[0].entry_count(), 0u);
-    EXPECT_GT(snaps[1].entry_count(), 0u); // (*,G) state grew along A->B->C
-    const telemetry::MribDiff d = telemetry::diff(snaps[0], snaps[1]);
+    ASSERT_EQ(hub.snapshot_count(), 2u);
+    EXPECT_EQ(hub.snapshot_changes(), 1u);
+    EXPECT_EQ(before.entry_count(), 0u);
+    EXPECT_GT(hub.last_snapshot()->entry_count(), 0u); // (*,G) state grew along A->B->C
+    const telemetry::MribDiff d = telemetry::diff(before, *hub.last_snapshot());
     EXPECT_FALSE(d.added.empty());
     EXPECT_TRUE(d.removed.empty());
     // Entry-count gauges were refreshed by store_snapshot.
-    EXPECT_GT(topo.net.telemetry()
-                  .registry()
+    EXPECT_GT(hub.registry()
                   .gauge("pimlib_state_mrib_entries", {{"router", "A"}})
                   .value(),
               0.0);
+}
+
+TEST(Hub, KeepsTheLastSnapshotAndCountsChanges) {
+    // Only the latest snapshot is kept; the hub counts every store and the
+    // stores that differ structurally from the one before.
+    sim::Simulator sim;
+    telemetry::Hub hub(sim);
+    const auto snapshot = [](int entries) {
+        telemetry::MribSnapshot snap;
+        telemetry::RouterMrib mrib;
+        mrib.router = "A";
+        for (int i = 0; i < entries; ++i) {
+            telemetry::EntrySnapshot e;
+            e.group = "224.1.1." + std::to_string(i + 1);
+            e.wildcard = true;
+            mrib.entries.push_back(e);
+        }
+        snap.routers.push_back(mrib);
+        return snap;
+    };
+    hub.store_snapshot(snapshot(1));
+    hub.store_snapshot(snapshot(1)); // identical
+    hub.store_snapshot(snapshot(2)); // changed
+    hub.store_snapshot(snapshot(2)); // identical
+    hub.store_snapshot(snapshot(0)); // changed
+    EXPECT_EQ(hub.snapshot_count(), 5u);
+    EXPECT_EQ(hub.snapshot_changes(), 2u);
+    ASSERT_NE(hub.last_snapshot(), nullptr);
+    EXPECT_EQ(hub.last_snapshot()->entry_count(), 0u);
 }
 
 // --- timer wheel gauges ---------------------------------------------------
